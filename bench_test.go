@@ -491,20 +491,22 @@ func BenchmarkDeviceSimulatorDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalDirectBlock measures the devirtualized block fast path
-// against the per-interaction interface loop it replaced, for every
-// built-in kernel: one target against a 2000-source block, the shape of a
-// batch/leaf direct-sum inner loop. "iface" dispatches through
-// kernel.Kernel per source (the pre-block-path code, reproduced here via
-// the generic adapter around kernel.Func); "block" is the specialized
-// loop the treecode now runs. Every iteration evaluates the same target:
-// cycling `i % tg.Len()` through distinct targets made ns/op depend on
-// which targets a given b.N landed on (their distances to the block
-// differ), which read as run-to-run noise in the tracked record.
+// BenchmarkEvalDirectBlock times one kernel.TileWidth target tile against
+// a 2000-source block, the shape of a batch/leaf direct-sum inner loop,
+// for every built-in kernel. "iface" runs the tile through the generic
+// adapter around kernel.Func, which dispatches through kernel.Kernel per
+// pairwise interaction; "tile" is the kernel's native tile the treecode
+// runs. Every iteration evaluates the same targets: cycling through
+// distinct targets made ns/op depend on which targets a given b.N landed
+// on (their distances to the block differ), which read as run-to-run
+// noise in the tracked record.
 func BenchmarkEvalDirectBlock(b *testing.B) {
 	const nSrc = 2000
 	src := barytree.UniformCube(nSrc, 11)
-	tg := barytree.UniformCube(16, 12)
+	tg := barytree.UniformCube(kernel.TileWidth, 12)
+	tx := [kernel.TileWidth]float64(tg.X)
+	ty := [kernel.TileWidth]float64(tg.Y)
+	tz := [kernel.TileWidth]float64(tg.Z)
 	for _, k := range []kernel.Kernel{
 		kernel.Coulomb{},
 		kernel.Yukawa{Kappa: 0.5},
@@ -513,22 +515,21 @@ func BenchmarkEvalDirectBlock(b *testing.B) {
 		kernel.RegularizedCoulomb{Eps: 0.02},
 		kernel.InversePower{P: 3},
 	} {
-		iface := kernel.AsBlock(kernel.Func{KernelName: k.Name(), F: k.Eval})
-		block := kernel.AsBlock(k)
-		b.Run(k.Name()+"/iface", func(b *testing.B) {
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += iface.EvalBlockAccum(tg.X[0], tg.Y[0], tg.Z[0], src.X, src.Y, src.Z, src.Q)
-			}
-			benchSink = sink
-		})
-		b.Run(k.Name()+"/block", func(b *testing.B) {
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += block.EvalBlockAccum(tg.X[0], tg.Y[0], tg.Z[0], src.X, src.Y, src.Z, src.Q)
-			}
-			benchSink = sink
-		})
+		for _, v := range []struct {
+			name string
+			tk   kernel.TileKernel
+		}{
+			{"iface", kernel.AsTile(kernel.Func{KernelName: k.Name(), F: k.Eval})},
+			{"tile", kernel.AsTile(k)},
+		} {
+			b.Run(k.Name()+"/"+v.name, func(b *testing.B) {
+				var acc [kernel.TileWidth]float64
+				for i := 0; i < b.N; i++ {
+					v.tk.EvalTileAccum(&tx, &ty, &tz, src.X, src.Y, src.Z, src.Q, &acc)
+				}
+				benchSink = acc[0]
+			})
+		}
 	}
 }
 

@@ -94,7 +94,7 @@ func TestComputeChargesMatchesReference(t *testing.T) {
 
 // TestBlockPathBitIdenticalToScalar is the end-to-end devirtualization
 // guarantee: running the full treecode through a built-in kernel (which
-// resolves to its specialized block loops) produces bit-identical
+// resolves to its specialized tile loops) produces bit-identical
 // potentials to the same kernel hidden behind kernel.Func (which resolves
 // to the generic adapter, the per-source scalar loop). The one exception
 // is a kernel whose installed assembly tile carries a measured-ULP

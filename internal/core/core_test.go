@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"barytree/internal/device"
@@ -11,6 +12,7 @@ import (
 	"barytree/internal/metrics"
 	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
+	"barytree/internal/pool"
 )
 
 func testParticles(t *testing.T, n int, seed int64) *particle.Set {
@@ -272,6 +274,25 @@ func TestSerialMatchesParallelCPU(t *testing.T) {
 	for i := range serial.Phi {
 		if serial.Phi[i] != parallel.Phi[i] {
 			t.Fatalf("potential %d differs: serial %g parallel %g", i, serial.Phi[i], parallel.Phi[i])
+		}
+	}
+}
+
+// TestCPUOptionsDefaultWorkers pins the documented default of
+// CPUOptions.Workers: zero selects GOMAXPROCS (pool.Workers(n, 0)), not the
+// modeled CPU's core count, while the zero Spec still selects the modeled
+// X5650 that every modeled time is computed from. GOMAXPROCS is set away
+// from the X5650's 6 cores so the two readings cannot coincide.
+func TestCPUOptionsDefaultWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	opt := CPUOptions{}
+	opt.defaults()
+	if opt.Spec != perfmodel.XeonX5650() {
+		t.Errorf("zero Spec resolved to %+v, want the X5650", opt.Spec)
+	}
+	for _, n := range []int{1, 2, 64, 1000} {
+		if got, want := pool.Workers(n, opt.Workers), pool.Workers(n, 0); got != want {
+			t.Errorf("n=%d: CPUOptions{} runs %d workers, want pool.Workers(n, 0) = %d", n, got, want)
 		}
 	}
 }

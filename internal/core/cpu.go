@@ -39,9 +39,6 @@ func (o *CPUOptions) defaults() {
 	if o.Spec.Cores == 0 {
 		o.Spec = perfmodel.XeonX5650()
 	}
-	if o.Workers == 0 {
-		o.Workers = o.Spec.Cores
-	}
 }
 
 // RunCPU evaluates the treecode plan on the CPU: modified charges for every
@@ -66,10 +63,9 @@ func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
 	// is resolved once here; every inner loop below it is devirtualized.
 	start = time.Now()
 	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
 	phiBatch := make([]float64, pl.Batches.Targets.Len())
 	pool.For(len(pl.Batches.Batches), opt.Workers, func(bi int) {
-		evalBatchLists(pl, tk, t8, bi, phiBatch, pl.Sources.Particles.Q, pl.Clusters.Qhat)
+		evalBatchLists(pl, tk, bi, phiBatch, pl.Sources.Particles.Q, pl.Clusters.Qhat)
 	})
 	res.Wall[perfmodel.PhaseCompute] = time.Since(start).Seconds()
 	res.Times[perfmodel.PhaseCompute] = computeFlops(pl.Lists.Stats, k, kernel.ArchCPU) / rate
@@ -94,25 +90,21 @@ func RunComputeOnly(pl *Plan, k kernel.Kernel, phi []float64) float64 {
 // probe the compute-phase benchmarks sweep.
 func RunComputeOnlyWorkers(pl *Plan, k kernel.Kernel, phi []float64, workers int) float64 {
 	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
 	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		evalBatchLists(pl, tk, t8, bi, phi, pl.Sources.Particles.Q, pl.Clusters.Qhat)
+		evalBatchLists(pl, tk, bi, phi, pl.Sources.Particles.Q, pl.Clusters.Qhat)
 	})
 	return computeFlops(pl.Lists.Stats, k, kernel.ArchCPU)
 }
 
 // evalBatchLists accumulates batch bi's full interaction list into phi
-// (batch target order) through the tiled fast path: a register-width group
-// of targets walks the whole list together so each source block streams
-// from memory once per tile instead of once per target. Per target the
-// adds still land in list order — the tile contracts add exactly one block
+// (batch target order) through the tiled fast path: each kernel.TileWidth
+// group of targets walks the whole list together so each source block
+// streams from memory once per tile instead of once per target, and the
+// ragged last group runs as a padded tile (see TargetTile). Per target the
+// adds still land in list order — the tile contract adds exactly one block
 // total per list entry — and the accumulators are seeded from and stored
-// back to phi, so the result is bit-identical to the single-target block
-// path (up to each kernel's documented tile ULP contract). The cascade is
-// 8 → 4 → 1: when the kernel has a register-blocked Tile8Width tile
-// (t8 != nil), full 8-target groups take it first; remaining targets take
-// TileWidth tiles; the last <TileWidth targets take the single-target
-// epilogue.
+// back to phi, so the result is bit-identical to the scalar reference
+// path (up to each kernel's documented tile ULP contract).
 //
 // q and qhat supply the source charges (tree order) and per-node modified
 // charges: the plan's own (RunCPU, RunComputeOnly) or a per-request
@@ -121,50 +113,27 @@ func RunComputeOnlyWorkers(pl *Plan, k kernel.Kernel, phi []float64, workers int
 // disjoint phi are safe.
 //
 //hot:path
-func evalBatchLists(pl *Plan, tk kernel.TileKernel, t8 kernel.Tile8Func, bi int, phi, q []float64, qhat [][]float64) {
+func evalBatchLists(pl *Plan, tk kernel.TileKernel, bi int, phi, q []float64, qhat [][]float64) {
 	b := &pl.Batches.Batches[bi]
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
 	direct, approx := pl.Lists.Direct[bi], pl.Lists.Approx[bi]
 
-	ti := b.Lo
-	if t8 != nil {
-		var t80 TargetTile8
-		for ; ti+kernel.Tile8Width <= b.Hi; ti += kernel.Tile8Width {
-			t80.LoadParticles(tg, ti)
-			t80.LoadPotentials(phi, ti)
-			for _, ci := range direct {
-				nd := &pl.Sources.Nodes[ci]
-				EvalDirectTile8BlockQ(t8, &t80, src, q, nd.Lo, nd.Hi)
-			}
-			for _, ci := range approx {
-				EvalApproxTile8Block(t8, &t80, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
-			}
-			t80.Store(phi, ti)
-		}
-	}
 	var t TargetTile
-	for ; ti+kernel.TileWidth <= b.Hi; ti += kernel.TileWidth {
-		t.LoadParticles(tg, ti)
-		t.LoadPotentials(phi, ti)
+	for ti := b.Lo; ti < b.Hi; ti += kernel.TileWidth {
+		n := min(kernel.TileWidth, b.Hi-ti)
+		t.Load(tg.X, tg.Y, tg.Z, ti, n)
+		t.LoadPotentials(phi, ti, n)
 		for _, ci := range direct {
 			nd := &pl.Sources.Nodes[ci]
-			EvalDirectTileBlockQ(tk, &t, src, q, nd.Lo, nd.Hi)
+			tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ,
+				src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], q[nd.Lo:nd.Hi], &t.Acc)
 		}
 		for _, ci := range approx {
-			EvalApproxTileBlock(tk, &t, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
+			tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci], &t.Acc)
 		}
-		t.Store(phi, ti)
-	}
-	for ; ti < b.Hi; ti++ {
-		for _, ci := range direct {
-			nd := &pl.Sources.Nodes[ci]
-			phi[ti] += EvalDirectTargetBlockQ(tk, tg, ti, src, q, nd.Lo, nd.Hi)
-		}
-		for _, ci := range approx {
-			phi[ti] += EvalApproxTargetBlock(tk, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
-		}
+		t.Store(phi, ti, n)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // is what the GPU parallelizes over threads and reduces.
 //
 // This is the scalar reference path (one interface dispatch per pairwise
-// interaction). The drivers run EvalDirectTargetBlock, which is bit-identical
-// by the BlockKernel contract; this form remains the executable definition of
-// that contract and the fallback for ad-hoc evaluation.
+// interaction). The drivers run the tiled path (TargetTile through a
+// kernel.TileKernel), which is bit-identical to it by the TileKernel
+// contract for exact kernels and within kernel.TileMaxULP otherwise; this
+// form remains the executable definition of that contract.
 //
 //hot:path
 func EvalDirectTarget(k kernel.Kernel, tg *particle.Set, ti int, src *particle.Set, cLo, cHi int) float64 {
@@ -29,7 +30,7 @@ func EvalDirectTarget(k kernel.Kernel, tg *particle.Set, ti int, src *particle.S
 // barycentric particle-cluster approximation (equation (11)): a direct sum
 // over the cluster's Chebyshev points with modified charges. This identical
 // direct-sum structure is what makes the BLTC map efficiently onto GPUs.
-// Scalar reference path; the drivers run EvalApproxTargetBlock.
+// Scalar reference path; the drivers run the tiled path.
 //
 //hot:path
 func EvalApproxTarget(k kernel.Kernel, tg *particle.Set, ti int, px, py, pz, qhat []float64) float64 {
@@ -41,228 +42,84 @@ func EvalApproxTarget(k kernel.Kernel, tg *particle.Set, ti int, px, py, pz, qha
 	return phi
 }
 
-// EvalDirectTargetBlock is the block fast path of EvalDirectTarget: one
-// dynamic dispatch for the whole source block instead of one per source.
-// Resolve bk once per run with kernel.AsBlock.
-//
-//hot:path
-func EvalDirectTargetBlock(bk kernel.BlockKernel, tg *particle.Set, ti int, src *particle.Set, cLo, cHi int) float64 {
-	return bk.EvalBlockAccum(tg.X[ti], tg.Y[ti], tg.Z[ti],
-		src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], src.Q[cLo:cHi])
-}
-
-// EvalApproxTargetBlock is the block fast path of EvalApproxTarget.
-//
-//hot:path
-func EvalApproxTargetBlock(bk kernel.BlockKernel, tg *particle.Set, ti int, px, py, pz, qhat []float64) float64 {
-	return bk.EvalBlockAccum(tg.X[ti], tg.Y[ti], tg.Z[ti], px, py, pz, qhat)
-}
-
-// EvalDirectTargetBlockQ is EvalDirectTargetBlock with the charges supplied
-// separately from the particle set (q in tree order, indexed like src):
-// the per-request-state form. With q = src.Q it performs the identical
-// call, so the two are bit-identical by construction.
-//
-//hot:path
-func EvalDirectTargetBlockQ(bk kernel.BlockKernel, tg *particle.Set, ti int, src *particle.Set, q []float64, cLo, cHi int) float64 {
-	return bk.EvalBlockAccum(tg.X[ti], tg.Y[ti], tg.Z[ti],
-		src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], q[cLo:cHi])
-}
-
-// TargetTile is the working state of the target-tiled evaluation drivers: a
-// tile of kernel.TileWidth targets evaluated together against every source
+// TargetTile is the working state of the target-tiled evaluation drivers:
+// up to kernel.TileWidth targets evaluated together against every source
 // block on an interaction list, so the source arrays stream once per tile
-// instead of once per target (the paper's thread-block-of-targets layout on
-// the host). Acc carries the running potentials; each Eval*TileBlock call
-// adds one block total per target, so loading Acc from phi, running the
-// list, and storing back reproduces the per-target "phi[ti] += block" add
-// chain of the single-target drivers bit-for-bit.
+// instead of once per target (the paper's thread-block-of-targets layout
+// on the host). Drivers call the resolved kernel.TileKernel's
+// EvalTileAccum on TX/TY/TZ/Acc directly; each call adds one block total
+// per target, so loading Acc from phi, running the list, and storing back
+// reproduces the per-target "phi[ti] += block" add chain of the scalar
+// reference bit-for-bit (up to the kernel's kernel.TileMaxULP contract).
+//
+// A tile holding n < TileWidth real targets is padded: Load replicates the
+// last real target into the empty lanes, and Store writes only the n real
+// lanes. Lanes are independent, so a target's bits do not depend on which
+// lane it occupies or whether its tile is padded.
 type TargetTile struct {
 	TX, TY, TZ [kernel.TileWidth]float64
 	Acc        [kernel.TileWidth]float64
 }
 
-// LoadParticles gathers the coordinates of targets [ti, ti+TileWidth) and
-// zeroes the accumulators.
+// Load gathers the n real targets [lo, lo+n) of the coordinate arrays x,
+// y, z — particles or a Chebyshev grid's proxy points — pads the
+// remaining lanes with the last of them, and zeroes the accumulators.
+// 1 <= n <= kernel.TileWidth.
 //
 //hot:path
-func (t *TargetTile) LoadParticles(tg *particle.Set, ti int) {
-	for l := 0; l < kernel.TileWidth; l++ {
-		t.TX[l] = tg.X[ti+l]
-		t.TY[l] = tg.Y[ti+l]
-		t.TZ[l] = tg.Z[ti+l]
-		t.Acc[l] = 0
+func (t *TargetTile) Load(x, y, z []float64, lo, n int) {
+	for l := range t.TX {
+		i := lo + min(l, n-1)
+		t.TX[l], t.TY[l], t.TZ[l] = x[i], y[i], z[i]
 	}
-}
-
-// LoadParticlesAt gathers four arbitrary target indices (sampled-target
-// evaluation) and zeroes the accumulators.
-//
-//hot:path
-func (t *TargetTile) LoadParticlesAt(tg *particle.Set, i0, i1, i2, i3 int) {
-	t.TX = [kernel.TileWidth]float64{tg.X[i0], tg.X[i1], tg.X[i2], tg.X[i3]}
-	t.TY = [kernel.TileWidth]float64{tg.Y[i0], tg.Y[i1], tg.Y[i2], tg.Y[i3]}
-	t.TZ = [kernel.TileWidth]float64{tg.Z[i0], tg.Z[i1], tg.Z[i2], tg.Z[i3]}
 	t.Acc = [kernel.TileWidth]float64{}
 }
 
-// LoadProxies gathers proxy points [m, m+TileWidth) of a Chebyshev grid as
-// the tile's targets (the cluster-particle variants accumulate potentials
-// at proxy points) and zeroes the accumulators.
+// LoadAt is Load for the arbitrary target indices idx (sampled-target
+// evaluation), 1 <= len(idx) <= kernel.TileWidth.
 //
 //hot:path
-func (t *TargetTile) LoadProxies(px, py, pz []float64, m int) {
-	for l := 0; l < kernel.TileWidth; l++ {
-		t.TX[l] = px[m+l]
-		t.TY[l] = py[m+l]
-		t.TZ[l] = pz[m+l]
-		t.Acc[l] = 0
+func (t *TargetTile) LoadAt(x, y, z []float64, idx []int) {
+	for l := range t.TX {
+		i := idx[min(l, len(idx)-1)]
+		t.TX[l], t.TY[l], t.TZ[l] = x[i], y[i], z[i]
 	}
+	t.Acc = [kernel.TileWidth]float64{}
 }
 
-// LoadPotentials seeds the accumulators from phi[ti:], so the tile's adds
-// continue phi's existing rounding chain exactly.
+// LoadPotentials seeds the n real lanes' accumulators from phi[lo:], so the
+// tile's adds continue phi's existing rounding chain exactly.
 //
 //hot:path
-func (t *TargetTile) LoadPotentials(phi []float64, ti int) {
-	for l := 0; l < kernel.TileWidth; l++ {
-		t.Acc[l] = phi[ti+l]
-	}
+func (t *TargetTile) LoadPotentials(phi []float64, lo, n int) {
+	copy(t.Acc[:n], phi[lo:lo+n])
 }
 
-// Store writes the accumulators back to phi[ti:].
+// Store writes the n real lanes' accumulators back to phi[lo:].
 //
 //hot:path
-func (t *TargetTile) Store(phi []float64, ti int) {
-	for l := 0; l < kernel.TileWidth; l++ {
-		phi[ti+l] = t.Acc[l]
-	}
-}
-
-// EvalDirectTileBlock accumulates one direct-sum source block into the
-// tile: Acc[l] += sum over sources [cLo, cHi), per target, in source order
-// — the tiled form of EvalDirectTargetBlock. Resolve tk once per run with
-// kernel.AsTile.
-//
-//hot:path
-func EvalDirectTileBlock(tk kernel.TileKernel, t *TargetTile, src *particle.Set, cLo, cHi int) {
-	tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ,
-		src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], src.Q[cLo:cHi], &t.Acc)
-}
-
-// EvalApproxTileBlock accumulates one source block given as flat arrays —
-// a cluster's Chebyshev points with modified charges, or any ad-hoc
-// source slices — into the tile; the tiled form of EvalApproxTargetBlock.
-//
-//hot:path
-func EvalApproxTileBlock(tk kernel.TileKernel, t *TargetTile, px, py, pz, qhat []float64) {
-	tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ, px, py, pz, qhat, &t.Acc)
-}
-
-// EvalDirectTileBlockQ is EvalDirectTileBlock with the charges supplied
-// separately from the particle set (q in tree order, indexed like src):
-// the per-request-state form, bit-identical to EvalDirectTileBlock when
-// q = src.Q.
-//
-//hot:path
-func EvalDirectTileBlockQ(tk kernel.TileKernel, t *TargetTile, src *particle.Set, q []float64, cLo, cHi int) {
-	tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ,
-		src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], q[cLo:cHi], &t.Acc)
-}
-
-// TargetTile8 is the working state of the width-8 register-blocked fp64
-// main loop: same contract as TargetTile at kernel.Tile8Width. The
-// drivers use it only for kernels whose kernel.Tile8 resolves non-nil;
-// because an 8-wide tile of an exact kernel is bit-identical to two
-// 4-wide tiles of the same targets, running the width-8 loop first and
-// falling back to width-4 and single-target epilogues changes no bits.
-type TargetTile8 struct {
-	TX, TY, TZ [kernel.Tile8Width]float64
-	Acc        [kernel.Tile8Width]float64
-}
-
-// LoadParticles gathers the coordinates of targets [ti, ti+Tile8Width)
-// and zeroes the accumulators.
-//
-//hot:path
-func (t *TargetTile8) LoadParticles(tg *particle.Set, ti int) {
-	for l := 0; l < kernel.Tile8Width; l++ {
-		t.TX[l] = tg.X[ti+l]
-		t.TY[l] = tg.Y[ti+l]
-		t.TZ[l] = tg.Z[ti+l]
-		t.Acc[l] = 0
-	}
-}
-
-// LoadPotentials seeds the accumulators from phi[ti:].
-//
-//hot:path
-func (t *TargetTile8) LoadPotentials(phi []float64, ti int) {
-	for l := 0; l < kernel.Tile8Width; l++ {
-		t.Acc[l] = phi[ti+l]
-	}
-}
-
-// Store writes the accumulators back to phi[ti:].
-//
-//hot:path
-func (t *TargetTile8) Store(phi []float64, ti int) {
-	for l := 0; l < kernel.Tile8Width; l++ {
-		phi[ti+l] = t.Acc[l]
-	}
-}
-
-// EvalDirectTile8BlockQ is EvalDirectTileBlockQ at Tile8Width, through a
-// resolved kernel.Tile8 loop.
-//
-//hot:path
-func EvalDirectTile8BlockQ(t8 kernel.Tile8Func, t *TargetTile8, src *particle.Set, q []float64, cLo, cHi int) {
-	t8(&t.TX, &t.TY, &t.TZ,
-		src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], q[cLo:cHi], &t.Acc)
-}
-
-// EvalApproxTile8Block is EvalApproxTileBlock at Tile8Width.
-//
-//hot:path
-func EvalApproxTile8Block(t8 kernel.Tile8Func, t *TargetTile8, px, py, pz, qhat []float64) {
-	t8(&t.TX, &t.TY, &t.TZ, px, py, pz, qhat, &t.Acc)
+func (t *TargetTile) Store(phi []float64, lo, n int) {
+	copy(phi[lo:lo+n], t.Acc[:n])
 }
 
 // TargetTileF32 is the single-precision tile state: float32 coordinates
-// (rounded once at load, exactly as the single-target F32 drivers round
-// the target) and float32 accumulators, at the eight-lane
-// kernel.F32TileWidth.
+// (rounded once at load, exactly as the scalar F32 reference rounds the
+// target) and float32 accumulators, padded like TargetTile.
 type TargetTileF32 struct {
-	TX, TY, TZ [kernel.F32TileWidth]float32
-	Acc        [kernel.F32TileWidth]float32
+	TX, TY, TZ [kernel.TileWidth]float32
+	Acc        [kernel.TileWidth]float32
 }
 
-// LoadParticles gathers targets [ti, ti+F32TileWidth), rounding
-// coordinates to float32, and zeroes the accumulators.
+// Load gathers targets [lo, lo+n), rounding coordinates to float32, pads
+// the remaining lanes with the last of them, and zeroes the accumulators.
 //
 //hot:path
-func (t *TargetTileF32) LoadParticles(tg *particle.Set, ti int) {
-	for l := 0; l < kernel.F32TileWidth; l++ {
-		t.TX[l] = float32(tg.X[ti+l])
-		t.TY[l] = float32(tg.Y[ti+l])
-		t.TZ[l] = float32(tg.Z[ti+l])
-		t.Acc[l] = 0
+func (t *TargetTileF32) Load(x, y, z []float64, lo, n int) {
+	for l := range t.TX {
+		i := lo + min(l, n-1)
+		t.TX[l], t.TY[l], t.TZ[l] = float32(x[i]), float32(y[i]), float32(z[i])
 	}
-}
-
-// EvalDirectTileBlockF32 is the fp32 form of EvalDirectTileBlock.
-//
-//hot:path
-func EvalDirectTileBlockF32(tk kernel.F32TileKernel, t *TargetTileF32, src *particle.Set, cLo, cHi int) {
-	tk.EvalTileAccumF32(&t.TX, &t.TY, &t.TZ,
-		src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], src.Q[cLo:cHi], &t.Acc)
-}
-
-// EvalApproxTileBlockF32 is the fp32 form of EvalApproxTileBlock.
-//
-//hot:path
-func EvalApproxTileBlockF32(tk kernel.F32TileKernel, t *TargetTileF32, px, py, pz, qhat []float64) {
-	tk.EvalTileAccumF32(&t.TX, &t.TY, &t.TZ, px, py, pz, qhat, &t.Acc)
+	t.Acc = [kernel.TileWidth]float32{}
 }
 
 // EvalDirectTargetF32 is the single-precision variant of EvalDirectTarget,
@@ -290,19 +147,4 @@ func EvalApproxTargetF32(k kernel.F32Kernel, tg *particle.Set, ti int, px, py, p
 		phi += k.EvalF32(tx, ty, tz, float32(px[j]), float32(py[j]), float32(pz[j])) * float32(qhat[j])
 	}
 	return float64(phi)
-}
-
-// EvalDirectTargetBlockF32 is the block fast path of EvalDirectTargetF32.
-//
-//hot:path
-func EvalDirectTargetBlockF32(bk kernel.F32BlockKernel, tg *particle.Set, ti int, src *particle.Set, cLo, cHi int) float64 {
-	return float64(bk.EvalBlockAccumF32(float32(tg.X[ti]), float32(tg.Y[ti]), float32(tg.Z[ti]),
-		src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], src.Q[cLo:cHi]))
-}
-
-// EvalApproxTargetBlockF32 is the block fast path of EvalApproxTargetF32.
-//
-//hot:path
-func EvalApproxTargetBlockF32(bk kernel.F32BlockKernel, tg *particle.Set, ti int, px, py, pz, qhat []float64) float64 {
-	return float64(bk.EvalBlockAccumF32(float32(tg.X[ti]), float32(tg.Y[ti]), float32(tg.Z[ti]), px, py, pz, qhat))
 }

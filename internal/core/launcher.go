@@ -58,8 +58,8 @@ func NewLauncher(dev *device.Device, host *perfmodel.Clock, k kernel.Kernel,
 		perEval:   k.Cost(kernel.ArchGPU) + 2,
 	}
 	// Resolve the tiled fast path once for the whole compute phase; every
-	// kernel body launched below dispatches once per block, not per source,
-	// and the host executes TileWidth targets per dispatch.
+	// kernel body launched below dispatches once per source block, not per
+	// source, and the host executes TileWidth targets per dispatch.
 	l.tk = kernel.AsTile(k)
 	if prec == device.FP32 {
 		l.rate *= dev.Spec.FP32Speedup
@@ -107,114 +107,60 @@ func (l *Launcher) queue(label string, work float64, grid, block int) (device.La
 // LaunchDirect queues one batch-cluster direct sum kernel: targets
 // [bLo, bLo+nb) of tg against source particles [cLo, cHi) of src, with one
 // modeled thread block per target and atomic accumulation into phi (batch
-// target order). The host executes the same arithmetic tiled: one host
-// block per TileWidth targets plus single-target blocks for the ragged
-// tail, adding each target's block total into phi once. The tile's
-// accumulators start at zero, and a sum accumulated from +0 under
-// round-to-nearest can never be -0, so the per-lane 0 + total add is
-// bit-exact against the single-target path; the modeled spec (grid nb)
-// is unchanged.
+// target order).
 func (l *Launcher) LaunchDirect(tg *particle.Set, bLo, nb int, src *particle.Set, cLo, cHi int, phi *device.AccumBuffer) {
 	work := float64(nb) * float64(cHi-cLo) * l.perEval
 	spec, submit := l.queue("direct", work, nb, min(cHi-cLo, 1024))
-	fnGrid := nb
-	var fn func(int)
-	if !l.ModelOnly {
-		tk := l.tk
-		f32t := l.f32t
-		prec := l.Precision
-		// The host tile width is per precision: fp32 tiles are
-		// F32TileWidth lanes wide, fp64 tiles TileWidth. The modeled spec
-		// (grid nb) is unchanged either way.
-		tw := kernel.TileWidth
-		if prec == device.FP32 {
-			tw = kernel.F32TileWidth
-		}
-		nTiles := nb / tw
-		fnGrid = nTiles + nb%tw
-		fn = func(block int) {
-			if block < nTiles {
-				ti := bLo + block*tw
-				if prec == device.FP32 {
-					var t TargetTileF32
-					t.LoadParticles(tg, ti)
-					EvalDirectTileBlockF32(f32t, &t, src, cLo, cHi)
-					for lane := 0; lane < kernel.F32TileWidth; lane++ {
-						phi.Add(ti+lane, float64(t.Acc[lane]))
-					}
-				} else {
-					var t TargetTile
-					t.LoadParticles(tg, ti)
-					EvalDirectTileBlock(tk, &t, src, cLo, cHi)
-					for lane := 0; lane < kernel.TileWidth; lane++ {
-						phi.Add(ti+lane, t.Acc[lane])
-					}
-				}
-				return
-			}
-			ti := bLo + nTiles*tw + (block - nTiles)
-			var v float64
-			if prec == device.FP32 {
-				v = EvalDirectTargetBlockF32(f32t, tg, ti, src, cLo, cHi)
-			} else {
-				v = EvalDirectTargetBlock(tk, tg, ti, src, cLo, cHi)
-			}
-			phi.Add(ti, v)
-		}
-	}
-	l.Dev.LaunchBlocks(spec, submit, fnGrid, fn)
+	l.launchTiles(spec, submit, tg, bLo, nb, src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], src.Q[cLo:cHi], phi)
 }
 
 // LaunchApprox queues one batch-cluster approximation kernel: targets
 // [bLo, bLo+nb) against a cluster's Chebyshev points px/py/pz with modified
-// charges qhat. Host execution is tiled exactly as in LaunchDirect.
+// charges qhat.
 func (l *Launcher) LaunchApprox(tg *particle.Set, bLo, nb int, px, py, pz, qhat []float64, phi *device.AccumBuffer) {
 	np := len(px)
 	work := float64(nb) * float64(np) * l.perEval
 	spec, submit := l.queue("approx", work, nb, min(np, 1024))
-	fnGrid := nb
-	var fn func(int)
-	if !l.ModelOnly {
-		tk := l.tk
-		f32t := l.f32t
-		prec := l.Precision
-		tw := kernel.TileWidth
-		if prec == device.FP32 {
-			tw = kernel.F32TileWidth
-		}
-		nTiles := nb / tw
-		fnGrid = nTiles + nb%tw
-		fn = func(block int) {
-			if block < nTiles {
-				ti := bLo + block*tw
-				if prec == device.FP32 {
-					var t TargetTileF32
-					t.LoadParticles(tg, ti)
-					EvalApproxTileBlockF32(f32t, &t, px, py, pz, qhat)
-					for lane := 0; lane < kernel.F32TileWidth; lane++ {
-						phi.Add(ti+lane, float64(t.Acc[lane]))
-					}
-				} else {
-					var t TargetTile
-					t.LoadParticles(tg, ti)
-					EvalApproxTileBlock(tk, &t, px, py, pz, qhat)
-					for lane := 0; lane < kernel.TileWidth; lane++ {
-						phi.Add(ti+lane, t.Acc[lane])
-					}
-				}
-				return
-			}
-			ti := bLo + nTiles*tw + (block - nTiles)
-			var v float64
-			if prec == device.FP32 {
-				v = EvalApproxTargetBlockF32(f32t, tg, ti, px, py, pz, qhat)
-			} else {
-				v = EvalApproxTargetBlock(tk, tg, ti, px, py, pz, qhat)
-			}
-			phi.Add(ti, v)
-		}
+	l.launchTiles(spec, submit, tg, bLo, nb, px, py, pz, qhat, phi)
+}
+
+// launchTiles records a queued launch on the device and, unless the run
+// is model-only, executes it on the host tiled: one host block per
+// kernel.TileWidth targets of [bLo, bLo+nb), the last one padded (see
+// TargetTile), adding each real target's block total into phi once. The
+// tile's accumulators start at zero, and a sum accumulated from +0 under
+// round-to-nearest can never be -0, so the per-lane 0 + total add is
+// bit-exact against the CPU driver's add into phi. The modeled spec
+// (grid nb) is unchanged.
+func (l *Launcher) launchTiles(spec device.LaunchSpec, submit float64, tg *particle.Set, bLo, nb int,
+	sx, sy, sz, q []float64, phi *device.AccumBuffer) {
+
+	if l.ModelOnly {
+		l.Dev.LaunchBlocks(spec, submit, nb, nil)
+		return
 	}
-	l.Dev.LaunchBlocks(spec, submit, fnGrid, fn)
+	tk, f32t := l.tk, l.f32t
+	fp32 := l.Precision == device.FP32
+	nTiles := (nb + kernel.TileWidth - 1) / kernel.TileWidth
+	l.Dev.LaunchBlocks(spec, submit, nTiles, func(block int) {
+		lo := bLo + block*kernel.TileWidth
+		n := min(kernel.TileWidth, bLo+nb-lo)
+		if fp32 {
+			var t TargetTileF32
+			t.Load(tg.X, tg.Y, tg.Z, lo, n)
+			f32t.EvalTileAccumF32(&t.TX, &t.TY, &t.TZ, sx, sy, sz, q, &t.Acc)
+			for lane := 0; lane < n; lane++ {
+				phi.Add(lo+lane, float64(t.Acc[lane]))
+			}
+			return
+		}
+		var t TargetTile
+		t.Load(tg.X, tg.Y, tg.Z, lo, n)
+		tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ, sx, sy, sz, q, &t.Acc)
+		for lane := 0; lane < n; lane++ {
+			phi.Add(lo+lane, t.Acc[lane])
+		}
+	})
 }
 
 // LaunchChargeKernels queues the two preprocessing kernels for every node

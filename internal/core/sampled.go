@@ -63,10 +63,10 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 	// Evaluate the sampled targets through the tiled fast path (resolved
 	// once). Samples are grouped by batch so that up to TileWidth targets
 	// sharing an interaction list walk it together, streaming each source
-	// block once per group; leftovers take the single-target path. Every
-	// sample's potential is accumulated from zero in list order in either
-	// form, so the grouping — and where the worker split cuts a group —
-	// cannot change bits.
+	// block once per group; a short group runs as a padded tile. Every
+	// sample's potential is accumulated from zero in list order on the
+	// same lane computation as the full run, so the grouping — and where
+	// the worker split cuts a group — cannot change bits.
 	tk := kernel.AsTile(k)
 	phi := make([]float64, len(sample))
 	tg := pl.Batches.Targets
@@ -79,39 +79,27 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 	sort.SliceStable(order, func(a, b int) bool { return batchOf[order[a]] < batchOf[order[b]] })
 	pool.Blocks(len(order), 0, func(_, lo, hi int) {
 		var t TargetTile
+		var idx [kernel.TileWidth]int
 		for i := lo; i < hi; {
 			bi := batchOf[order[i]]
-			g := i + 1
-			for g < hi && g-i < kernel.TileWidth && batchOf[order[g]] == bi {
-				g++
+			n := 0
+			for i+n < hi && n < kernel.TileWidth && batchOf[order[i+n]] == bi {
+				idx[n] = inv[sample[order[i+n]]]
+				n++
 			}
-			direct, approx := pl.Lists.Direct[bi], pl.Lists.Approx[bi]
-			if g-i == kernel.TileWidth {
-				i0, i1, i2, i3 := order[i], order[i+1], order[i+2], order[i+3]
-				t.LoadParticlesAt(tg, inv[sample[i0]], inv[sample[i1]], inv[sample[i2]], inv[sample[i3]])
-				for _, ci := range direct {
-					nd := &pl.Sources.Nodes[ci]
-					EvalDirectTileBlock(tk, &t, src, nd.Lo, nd.Hi)
-				}
-				for _, ci := range approx {
-					EvalApproxTileBlock(tk, &t, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci])
-				}
-				phi[i0], phi[i1], phi[i2], phi[i3] = t.Acc[0], t.Acc[1], t.Acc[2], t.Acc[3]
-			} else {
-				for s := i; s < g; s++ {
-					ti := inv[sample[order[s]]]
-					var v float64
-					for _, ci := range direct {
-						nd := &pl.Sources.Nodes[ci]
-						v += EvalDirectTargetBlock(tk, tg, ti, src, nd.Lo, nd.Hi)
-					}
-					for _, ci := range approx {
-						v += EvalApproxTargetBlock(tk, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci])
-					}
-					phi[order[s]] = v
-				}
+			t.LoadAt(tg.X, tg.Y, tg.Z, idx[:n])
+			for _, ci := range pl.Lists.Direct[bi] {
+				nd := &pl.Sources.Nodes[ci]
+				tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ,
+					src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], src.Q[nd.Lo:nd.Hi], &t.Acc)
 			}
-			i = g
+			for _, ci := range pl.Lists.Approx[bi] {
+				tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci], &t.Acc)
+			}
+			for l := 0; l < n; l++ {
+				phi[order[i+l]] = t.Acc[l]
+			}
+			i += n
 		}
 	})
 	return phi, nil

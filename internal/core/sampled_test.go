@@ -23,9 +23,11 @@ func TestEvaluateSampledMatchesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every target takes the same padded-tile lane computation in both
+	// drivers, so the sampled potentials equal the full run's bit for bit.
 	for i, idx := range sample {
-		if d := phi[i] - full.Phi[idx]; d > 1e-12 || d < -1e-12 {
-			t.Errorf("sample %d (target %d): %.15g vs full %.15g", i, idx, phi[i], full.Phi[idx])
+		if phi[i] != full.Phi[idx] {
+			t.Errorf("sample %d (target %d): %.17g != full %.17g", i, idx, phi[i], full.Phi[idx])
 		}
 	}
 }

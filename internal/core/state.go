@@ -131,9 +131,8 @@ func (st *ChargeState) ResetToPlan(pl *Plan) {
 // modeled compute-phase flop count.
 func RunComputeState(pl *Plan, k kernel.Kernel, st *ChargeState, phi []float64, workers int) float64 {
 	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
 	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		evalBatchLists(pl, tk, t8, bi, phi, st.Q, st.Qhat)
+		evalBatchLists(pl, tk, bi, phi, st.Q, st.Qhat)
 	})
 	return computeFlops(pl.Lists.Stats, k, kernel.ArchCPU)
 }
@@ -159,14 +158,12 @@ type GroupMember struct {
 func RunComputeGroup(pl *Plan, members []GroupMember, workers int) {
 	nb := len(pl.Batches.Batches)
 	tks := make([]kernel.TileKernel, len(members))
-	t8s := make([]kernel.Tile8Func, len(members))
 	for i := range members {
 		tks[i] = kernel.AsTile(members[i].Kernel)
-		t8s[i] = kernel.Tile8(members[i].Kernel)
 	}
 	pool.For(len(members)*nb, workers, func(idx int) {
 		mi, bi := idx/nb, idx%nb
 		m := &members[mi]
-		evalBatchLists(pl, tks[mi], t8s[mi], bi, m.Phi, m.State.Q, m.State.Qhat)
+		evalBatchLists(pl, tks[mi], bi, m.Phi, m.State.Q, m.State.Qhat)
 	})
 }

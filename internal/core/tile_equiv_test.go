@@ -115,13 +115,12 @@ func checkSolvePhi(t *testing.T, label string, pl *Plan, k kernel.Kernel, got, w
 }
 
 // TestTiledCPUPathBitIdenticalRagged is the full-solve guarantee for the
-// target-tiled compute phase: RunCPU — which cascades Tile8Width and
-// TileWidth target tiles per kernel dispatch and finishes ragged batch
-// tails on the single-target path — matches the per-source scalar
-// reference for batch sizes covering every residue mod Tile8Width and for
-// all TileKernel resolutions (assembly-backed Coulomb with its 8-wide
-// register-blocked tile, assembly Yukawa under its measured-ULP contract,
-// generic adapter over kernel.Func). The "pure-go" subtest repeats the
+// target-tiled compute phase: RunCPU — which evaluates TileWidth target
+// tiles per kernel dispatch and runs ragged batch tails as padded tiles —
+// matches the per-source scalar reference for batch sizes covering every
+// residue mod TileWidth and for all TileKernel resolutions
+// (assembly-backed Coulomb, assembly Yukawa under its measured-ULP
+// contract, generic adapter over kernel.Func). The "pure-go" subtest repeats the
 // sweep with the assembly kernels switched off, where every kernel —
 // Yukawa included — must be bit-identical to the scalar reference.
 func TestTiledCPUPathBitIdenticalRagged(t *testing.T) {
@@ -158,40 +157,42 @@ func TestTiledCPUPathBitIdenticalRagged(t *testing.T) {
 // target-tiled rewiring. Functionally, the tiled host execution behind
 // LaunchBlocks accumulates each target's per-launch block totals in launch
 // order, exactly like the CPU driver's list order, so the device result
-// equals the CPU result bit for bit even at ragged batch sizes. For the
-// model, the launch specs are untouched (one modeled thread block per
-// target), so the functional run's phase times equal a model-only run's
-// exactly.
+// equals the CPU result bit for bit even at ragged batch sizes — for
+// Yukawa too, since the launcher's padded tail tile takes the same lane
+// computation as the CPU driver's. For the model, the launch specs are
+// untouched (one modeled thread block per target), so the functional
+// run's phase times equal a model-only run's exactly.
 func TestDeviceTiledBitIdentical(t *testing.T) {
 	pts := testParticles(t, 3001, 33)
-	k := kernel.Coulomb{}
 	p := Params{Theta: 0.7, Degree: 4, LeafSize: 150, BatchSize: 123}
-
-	plCPU, err := NewPlan(pts, pts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := RunCPU(plCPU, k, CPUOptions{})
-
-	plDev, err := NewPlan(pts, pts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := device.New(perfmodel.TitanV(), 0)
-	gpu := RunDevice(plDev, k, dev, DeviceOptions{})
-	for i := range cpu.Phi {
-		if gpu.Phi[i] != cpu.Phi[i] {
-			t.Fatalf("target %d: device %v != cpu %v (diff %g)",
-				i, gpu.Phi[i], cpu.Phi[i], gpu.Phi[i]-cpu.Phi[i])
+	for _, k := range []kernel.Kernel{kernel.Coulomb{}, kernel.Yukawa{Kappa: 0.5}} {
+		plCPU, err := NewPlan(pts, pts, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		cpu := RunCPU(plCPU, k, CPUOptions{})
 
-	plModel, err := NewPlan(pts, pts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := RunDevice(plModel, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{ModelOnly: true})
-	if model.Times != gpu.Times {
-		t.Errorf("functional tiled run changed modeled times: %v != model-only %v", gpu.Times, model.Times)
+		plDev, err := NewPlan(pts, pts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := device.New(perfmodel.TitanV(), 0)
+		gpu := RunDevice(plDev, k, dev, DeviceOptions{})
+		for i := range cpu.Phi {
+			if gpu.Phi[i] != cpu.Phi[i] {
+				t.Fatalf("kernel=%s target %d: device %v != cpu %v (diff %g)",
+					k.Name(), i, gpu.Phi[i], cpu.Phi[i], gpu.Phi[i]-cpu.Phi[i])
+			}
+		}
+
+		plModel, err := NewPlan(pts, pts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := RunDevice(plModel, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{ModelOnly: true})
+		if model.Times != gpu.Times {
+			t.Errorf("kernel=%s: functional tiled run changed modeled times: %v != model-only %v",
+				k.Name(), gpu.Times, model.Times)
+		}
 	}
 }

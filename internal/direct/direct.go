@@ -5,15 +5,16 @@
 // evaluation for error measurement at large N (Section 4 samples the error
 // at a random subset of targets for systems of 8M particles and up).
 //
-// All evaluators resolve the kernel's tiled fast path (kernel.AsTile, and
-// the register-blocked kernel.Tile8 when the kernel has one) once per call
-// and evaluate a tile of targets per dispatch, so the O(N^2) inner loop
-// streams the source arrays once per target tile and pays one dynamic
-// dispatch per tile, not per pairwise interaction. Each target's potential
-// is accumulated from zero in source order either way, so the tiling is
-// bit-identical to the per-target block path for exact kernels; kernels
-// whose installed tile carries a measured-ULP contract (kernel.TileMaxULP
-// > 0, e.g. the vectorized Yukawa exp) match it within that contract.
+// All evaluators resolve the kernel's tiled fast path (kernel.AsTile) once
+// per call and evaluate kernel.TileWidth targets per dispatch, so the
+// O(N^2) inner loop streams the source arrays once per target tile and
+// pays one dynamic dispatch per tile, not per pairwise interaction. A
+// ragged last tile is padded with its last real target, so every target
+// takes the same lane computation wherever it sits: the evaluators agree
+// with each other bit for bit, and with the per-target scalar loop for
+// exact kernels; kernels whose installed tile carries a measured-ULP
+// contract (kernel.TileMaxULP > 0, e.g. the vectorized Yukawa exp) match
+// it within that contract.
 package direct
 
 import (
@@ -26,10 +27,8 @@ import (
 // When targets and sources are the same set, the singular self term is
 // excluded by the kernel convention G(x,x) = 0.
 func Sum(k kernel.Kernel, targets, sources *particle.Set) []float64 {
-	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
 	phi := make([]float64, targets.Len())
-	sumRange(tk, t8, targets, sources, phi, 0, len(phi))
+	sumRange(kernel.AsTile(k), targets, sources, phi, 0, len(phi))
 	return phi
 }
 
@@ -39,10 +38,9 @@ func Sum(k kernel.Kernel, targets, sources *particle.Set) []float64 {
 // within it, so no synchronization on phi is needed.
 func SumParallel(k kernel.Kernel, targets, sources *particle.Set, workers int) []float64 {
 	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
 	phi := make([]float64, targets.Len())
 	pool.Blocks(len(phi), workers, func(_, lo, hi int) {
-		sumRange(tk, t8, targets, sources, phi, lo, hi)
+		sumRange(tk, targets, sources, phi, lo, hi)
 	})
 	return phi
 }
@@ -55,76 +53,42 @@ func SumAt(k kernel.Kernel, targets *particle.Set, sample []int, sources *partic
 	tk := kernel.AsTile(k)
 	phi := make([]float64, len(sample))
 	pool.Blocks(len(sample), 0, func(_, lo, hi int) {
-		var tx, ty, tz, acc [kernel.TileWidth]float64
-		i := lo
-		for ; i+kernel.TileWidth <= hi; i += kernel.TileWidth {
-			for l := 0; l < kernel.TileWidth; l++ {
-				si := sample[i+l]
-				tx[l] = targets.X[si]
-				ty[l] = targets.Y[si]
-				tz[l] = targets.Z[si]
-				acc[l] = 0
-			}
-			tk.EvalTileAccum(&tx, &ty, &tz, sources.X, sources.Y, sources.Z, sources.Q, &acc)
-			for l := 0; l < kernel.TileWidth; l++ {
-				phi[i+l] = acc[l]
-			}
-		}
-		for ; i < hi; i++ {
-			phi[i] = at(tk, targets, sample[i], sources)
+		for i := lo; i < hi; i += kernel.TileWidth {
+			n := min(kernel.TileWidth, hi-i)
+			evalTile(tk, targets, sample[i:i+n], sources, phi[i:i+n])
 		}
 	})
 	return phi
 }
 
 // sumRange fills phi[lo:hi] with the potentials of targets [lo, hi)
-// against all sources: Tile8Width register-blocked tiles first when the
-// kernel has them, then TileWidth tiles, then the ragged tail through the
-// single-target block path.
+// against all sources, one tile at a time.
 //
 //hot:path
-func sumRange(tk kernel.TileKernel, t8 kernel.Tile8Func, targets, sources *particle.Set, phi []float64, lo, hi int) {
-	i := lo
-	if t8 != nil {
-		var tx8, ty8, tz8, acc8 [kernel.Tile8Width]float64
-		for ; i+kernel.Tile8Width <= hi; i += kernel.Tile8Width {
-			for l := 0; l < kernel.Tile8Width; l++ {
-				tx8[l] = targets.X[i+l]
-				ty8[l] = targets.Y[i+l]
-				tz8[l] = targets.Z[i+l]
-				acc8[l] = 0
-			}
-			t8(&tx8, &ty8, &tz8, sources.X, sources.Y, sources.Z, sources.Q, &acc8)
-			for l := 0; l < kernel.Tile8Width; l++ {
-				phi[i+l] = acc8[l]
-			}
+func sumRange(tk kernel.TileKernel, targets, sources *particle.Set, phi []float64, lo, hi int) {
+	var idx [kernel.TileWidth]int
+	for i := lo; i < hi; i += kernel.TileWidth {
+		n := min(kernel.TileWidth, hi-i)
+		for l := 0; l < n; l++ {
+			idx[l] = i + l
 		}
-	}
-	var tx, ty, tz, acc [kernel.TileWidth]float64
-	for ; i+kernel.TileWidth <= hi; i += kernel.TileWidth {
-		for l := 0; l < kernel.TileWidth; l++ {
-			tx[l] = targets.X[i+l]
-			ty[l] = targets.Y[i+l]
-			tz[l] = targets.Z[i+l]
-			acc[l] = 0
-		}
-		tk.EvalTileAccum(&tx, &ty, &tz, sources.X, sources.Y, sources.Z, sources.Q, &acc)
-		for l := 0; l < kernel.TileWidth; l++ {
-			phi[i+l] = acc[l]
-		}
-	}
-	for ; i < hi; i++ {
-		phi[i] = at(tk, targets, i, sources)
+		evalTile(tk, targets, idx[:n], sources, phi[i:i+n])
 	}
 }
 
-// at computes the potential at target index i due to all sources through
-// the single-target block fast path.
+// evalTile stores into out the potentials of the targets at indices idx
+// (1 <= len(idx) <= TileWidth) due to all sources: one tile, its empty
+// lanes padded with the last real target and their results discarded.
 //
 //hot:path
-func at(bk kernel.BlockKernel, targets *particle.Set, i int, sources *particle.Set) float64 {
-	return bk.EvalBlockAccum(targets.X[i], targets.Y[i], targets.Z[i],
-		sources.X, sources.Y, sources.Z, sources.Q)
+func evalTile(tk kernel.TileKernel, targets *particle.Set, idx []int, sources *particle.Set, out []float64) {
+	var tx, ty, tz, acc [kernel.TileWidth]float64
+	for l := range tx {
+		i := idx[min(l, len(idx)-1)]
+		tx[l], ty[l], tz[l] = targets.X[i], targets.Y[i], targets.Z[i]
+	}
+	tk.EvalTileAccum(&tx, &ty, &tz, sources.X, sources.Y, sources.Z, sources.Q, &acc)
+	copy(out, acc[:len(idx)])
 }
 
 // Interactions returns the number of kernel evaluations a full direct sum

@@ -1,7 +1,7 @@
 package kernel
 
 // The assembly fast paths install themselves into the package-level loop
-// variables (coulombBlockHead, coulombTileLoop, ...) from an arch init.
+// variables (coulombTileLoop, yukawaTileLoop, ...) from an arch init.
 // asmInstall, registered by that init, can re-run or undo the whole
 // installation, which gives tests a way to exercise the pure-Go fallback
 // loops on machines where init() would otherwise shadow them forever.

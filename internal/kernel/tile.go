@@ -2,27 +2,18 @@ package kernel
 
 import "math"
 
-// TileWidth is the number of targets a tile-kernel call evaluates together.
-// It matches the four-lane width of the AVX tile loop; the drivers handle
-// ragged batch edges with single-target block-path epilogues.
-const TileWidth = 4
+// TileWidth is the number of targets one tile-kernel call evaluates
+// together, in both precisions: eight fp64 lanes fill one ZMM register
+// (or two YMM lane groups), eight fp32 lanes one YMM register (the __m256
+// SoA layout). Drivers walk a run of targets in tiles of TileWidth and pad
+// the ragged last tile by replicating its last real target into the
+// empty lanes; the padded lanes' accumulators are never stored. Lanes are
+// independent, so every target takes the same lane computation wherever
+// it sits in a run, and padding changes no real target's bits.
+const TileWidth = 8
 
-// Tile8Width is the width of the register-blocked fp64 tile fast path:
-// kernels for which Tile8 resolves non-nil evaluate eight targets per
-// source stream. The drivers treat the width as a per-kernel dispatch
-// property — a width-8 main loop when available, then the width-4
-// TileKernel loop, then single-target epilogues — so kernels without an
-// 8-wide implementation lose nothing.
-const Tile8Width = 8
-
-// F32TileWidth is the number of targets a single-precision tile evaluates
-// together. fp32 lanes are half as wide as fp64 lanes, so the same 256-bit
-// vector holds eight float32 targets (the __m256 SoA layout): the fp32
-// tile contract, drivers and assembly are all 8-wide.
-const F32TileWidth = 8
-
-// TileKernel is the target-tiled block-evaluation fast path: one call
-// evaluates a whole block of sources against a *tile* of TileWidth targets,
+// TileKernel is the target-tiled evaluation fast path: one call evaluates
+// a whole block of sources against a *tile* of TileWidth targets,
 // accumulating each target's charge-weighted potential into phi:
 //
 //	for t := range phi { phi[t] += sum_j G(tile_t, s_j) * q[j] }
@@ -30,127 +21,130 @@ const F32TileWidth = 8
 // This is the host-side analogue of the paper's GPU thread-block layout,
 // where a block of targets shares every streamed source/cluster block: the
 // sx/sy/sz/q arrays are loaded once per tile instead of once per target,
-// and the four per-target accumulator chains run independently.
+// and the per-target accumulator chains run independently.
 //
-// Contract: EvalTileAccum must be bit-identical to the per-target reference
+// Contract: EvalTileAccum must be bit-identical to the per-target scalar
+// reference
 //
-//	for t := 0; t < TileWidth; t++ {
-//		phi[t] += k.EvalBlockAccum(tx[t], ty[t], tz[t], sx, sy, sz, q)
+//	for t := range phi {
+//		var p float64
+//		for j := range q { p += k.Eval(tx[t], ty[t], tz[t], sx[j], sy[j], sz[j]) * q[j] }
+//		phi[t] += p
 //	}
 //
 // — each target's inner sum accumulated in source order from zero, and
 // exactly one add of that block total into phi[t] (so tiling never changes
-// how partial sums are grouped across blocks). Implementations may
-// interleave the four chains source-by-source — the chains are independent
-// — but must not reorder any single target's accumulation. All built-in
+// how partial sums are grouped across blocks). Implementations may hoist
+// loop-invariant parameter arithmetic (e.g. eps*eps) and interleave the
+// chains source-by-source — the chains are independent — but must not
+// reorder or fuse any single target's accumulation. Transcendental
+// kernels whose vector path approximates exp differently from math.Exp
+// are held to the measured TileMaxULP contract instead. All built-in
 // kernels implement TileKernel; every other kernel gets the generic
-// adapter from AsTile, which falls back to the BlockKernel path per
-// target, so kernel.Func and user kernels keep working unchanged.
+// adapter from AsTile, which runs the reference loop above, so kernel.Func
+// and user kernels keep working unchanged. See docs/performance.md.
 type TileKernel interface {
-	BlockKernel
+	Kernel
 	EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64)
 }
 
 // F32TileKernel is the single-precision tile fast path. Source coordinates
 // and charges arrive as the float64 storage arrays and are rounded per
-// element; per target the contract mirrors EvalBlockAccumF32:
+// element; per target the contract is the float32 reference
 //
-//	for t := 0; t < F32TileWidth; t++ {
-//		phi[t] += k.EvalBlockAccumF32(tx[t], ty[t], tz[t], sx, sy, sz, q)
+//	var p float32
+//	for j := range q {
+//		p += k.EvalF32(tx[t], ty[t], tz[t], float32(sx[j]), float32(sy[j]), float32(sz[j])) * float32(q[j])
 //	}
+//	phi[t] += p
 //
-// As with TileKernel, the per-target chains may be interleaved but not
-// reordered, and exact kernels must stay bit-identical to that reference;
+// with float32 accumulation (mirroring an fp32 GPU kernel). As with
+// TileKernel, the per-target chains may be interleaved but not reordered,
+// and exact kernels must stay bit-identical to that reference;
 // transcendental kernels are covered by the F32TileMaxULP contract.
 type F32TileKernel interface {
-	F32BlockKernel
-	EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32)
+	F32Kernel
+	EvalTileAccumF32(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, phi *[TileWidth]float32)
 }
-
-// Tile8Func evaluates a source block against an 8-target fp64 tile under
-// the same contract as TileKernel.EvalTileAccum, at Tile8Width. len(q)
-// must be positive.
-type Tile8Func func(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q []float64, phi *[Tile8Width]float64)
-
-// Tile8 resolves the register-blocked 8-wide fp64 tile fast path for k,
-// or nil when k has none (non-amd64 builds, CPUs without the required
-// features, kernels without an 8-wide loop, or asm kernels disabled via
-// SetAsmKernels). There is deliberately no pure-Go 8-wide fallback: for
-// exact kernels a width-8 tile is bit-identical to two width-4 tiles of
-// the same targets — regrouping targets cannot change any target's
-// chain — so the Go TileKernel loop already *is* the 8-wide reference,
-// and the drivers simply skip the width-8 pass when Tile8 returns nil.
-// Resolve once per run, outside the hot loops.
-func Tile8(k Kernel) Tile8Func {
-	switch k.(type) {
-	case Coulomb:
-		return coulombTile8Loop
-	}
-	return nil
-}
-
-// coulombTile8Loop, when non-nil, is the register-blocked 8-target Coulomb
-// tile: two 4-lane groups sharing each source's broadcasts (tile_amd64.s).
-var coulombTile8Loop Tile8Func
 
 // AsTile resolves the tile fast path for k: kernels implementing
 // TileKernel (all built-ins) are returned unchanged; any other Kernel —
-// kernel.Func and user-defined kernels — is wrapped in a generic adapter
-// that evaluates the tile one target at a time through the BlockKernel
-// path (itself resolved with AsBlock, so a custom BlockKernel
-// implementation is honored). Resolve once per run, outside the hot loops.
+// kernel.Func and user-defined kernels — is wrapped in the generic
+// adapter, which loops k.Eval per lane. Resolve once per run, outside the
+// hot loops.
 func AsTile(k Kernel) TileKernel {
 	if tk, ok := k.(TileKernel); ok {
 		return tk
 	}
-	return tileAdapter{AsBlock(k)}
+	return tileAdapter{k}
 }
 
 // AsF32Tile resolves the single-precision tile fast path for k, wrapping
 // kernels without a native F32TileKernel implementation in a generic
-// per-target adapter over the F32 block path.
+// adapter that loops k.EvalF32 per lane.
 func AsF32Tile(k F32Kernel) F32TileKernel {
 	if tk, ok := k.(F32TileKernel); ok {
 		return tk
 	}
-	return f32TileAdapter{AsF32Block(k)}
+	return f32TileAdapter{k}
 }
 
-// tileAdapter lifts any BlockKernel to TileKernel with a per-target block
-// loop — the executable form of the TileKernel contract.
+// tileAdapter lifts any Kernel to TileKernel — the executable form of the
+// TileKernel contract.
 type tileAdapter struct {
-	BlockKernel
+	Kernel
 }
 
 // EvalTileAccum implements TileKernel.
 //
 //hot:path
 func (a tileAdapter) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
-	for t := 0; t < TileWidth; t++ {
-		phi[t] += a.BlockKernel.EvalBlockAccum(tx[t], ty[t], tz[t], sx, sy, sz, q)
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	for t := range phi {
+		var p float64
+		for j := range q {
+			p += a.Kernel.Eval(tx[t], ty[t], tz[t], sx[j], sy[j], sz[j]) * q[j]
+		}
+		phi[t] += p
 	}
 }
 
-// f32TileAdapter lifts any F32BlockKernel to F32TileKernel.
+// f32TileAdapter lifts any F32Kernel to F32TileKernel.
 type f32TileAdapter struct {
-	F32BlockKernel
+	F32Kernel
 }
 
 // EvalTileAccumF32 implements F32TileKernel.
 //
 //hot:path
-func (a f32TileAdapter) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
-	for t := 0; t < F32TileWidth; t++ {
-		phi[t] += a.F32BlockKernel.EvalBlockAccumF32(tx[t], ty[t], tz[t], sx, sy, sz, q)
+func (a f32TileAdapter) EvalTileAccumF32(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, phi *[TileWidth]float32) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	for t := range phi {
+		var p float32
+		for j := range q {
+			p += a.F32Kernel.EvalF32(tx[t], ty[t], tz[t], float32(sx[j]), float32(sy[j]), float32(sz[j])) * float32(q[j])
+		}
+		phi[t] += p
 	}
 }
 
-// --- Hand-specialized fp64 tile loops for the built-in kernels. Each loop
-// nest streams the source arrays once: for every source, all four targets
-// evaluate their kernel expression (repeated verbatim from the scalar
-// Eval, loop-invariant parameter products hoisted) and advance their own
-// scalar accumulator chain, so each chain's bits match the per-target
-// block loop exactly while the sources are loaded once per tile.
+// half returns lanes [h, h+4) of an fp64 tile array. The pure-Go fp64
+// loops and the AVX2 Yukawa tile are four lanes wide and run on each half
+// of the tile in turn; the lanes are independent, so splitting a tile
+// changes no lane's operations.
+func half(a *[TileWidth]float64, h int) *[4]float64 {
+	return (*[4]float64)(a[h : h+4])
+}
+
+// --- Hand-specialized fp64 tile loops for the built-in kernels. Each
+// four-lane body streams the source arrays once: for every source, all
+// four targets evaluate their kernel expression (repeated verbatim from
+// the scalar Eval, loop-invariant parameter products hoisted) and advance
+// their own scalar accumulator chain, so each chain's bits match the
+// per-target scalar loop exactly while the sources are loaded once per
+// half tile.
 
 // coulombTileLoop, when non-nil, evaluates a whole Coulomb tile with the
 // targets packed across SIMD lanes — per-lane IEEE-correctly-rounded
@@ -164,11 +158,20 @@ var coulombTileLoop func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64
 // EvalTileAccum implements TileKernel.
 //
 //hot:path
-func (Coulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+func (c Coulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
 	if coulombTileLoop != nil && len(q) > 0 {
 		coulombTileLoop(tx, ty, tz, sx, sy, sz, q, phi)
 		return
 	}
+	for h := 0; h < TileWidth; h += 4 {
+		c.tile4(half(tx, h), half(ty, h), half(tz, h), sx, sy, sz, q, half(phi, h))
+	}
+}
+
+// tile4 is the pure-Go four-lane body of EvalTileAccum.
+//
+//hot:path
+func (c Coulomb) tile4(tx, ty, tz *[4]float64, sx, sy, sz, q []float64, phi *[4]float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	tx0, tx1, tx2, tx3 := tx[0], tx[1], tx[2], tx[3]
@@ -284,6 +287,15 @@ func (k Yukawa) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []fl
 		yukawaTileLoop(tx, ty, tz, sx, sy, sz, q, -k.Kappa, phi)
 		return
 	}
+	for h := 0; h < TileWidth; h += 4 {
+		k.tile4(half(tx, h), half(ty, h), half(tz, h), sx, sy, sz, q, half(phi, h))
+	}
+}
+
+// tile4 is the pure-Go four-lane body of EvalTileAccum.
+//
+//hot:path
+func (k Yukawa) tile4(tx, ty, tz *[4]float64, sx, sy, sz, q []float64, phi *[4]float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	kappa := k.Kappa
@@ -336,6 +348,15 @@ func (k Yukawa) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []fl
 //
 //hot:path
 func (g Gaussian) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+	for h := 0; h < TileWidth; h += 4 {
+		g.tile4(half(tx, h), half(ty, h), half(tz, h), sx, sy, sz, q, half(phi, h))
+	}
+}
+
+// tile4 is the pure-Go four-lane body of EvalTileAccum.
+//
+//hot:path
+func (g Gaussian) tile4(tx, ty, tz *[4]float64, sx, sy, sz, q []float64, phi *[4]float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	s2 := g.Sigma * g.Sigma
@@ -364,6 +385,15 @@ func (g Gaussian) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []
 //
 //hot:path
 func (m Multiquadric) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+	for h := 0; h < TileWidth; h += 4 {
+		m.tile4(half(tx, h), half(ty, h), half(tz, h), sx, sy, sz, q, half(phi, h))
+	}
+}
+
+// tile4 is the pure-Go four-lane body of EvalTileAccum.
+//
+//hot:path
+func (m Multiquadric) tile4(tx, ty, tz *[4]float64, sx, sy, sz, q []float64, phi *[4]float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	c2 := m.C * m.C
@@ -392,6 +422,15 @@ func (m Multiquadric) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, 
 //
 //hot:path
 func (r RegularizedCoulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+	for h := 0; h < TileWidth; h += 4 {
+		r.tile4(half(tx, h), half(ty, h), half(tz, h), sx, sy, sz, q, half(phi, h))
+	}
+}
+
+// tile4 is the pure-Go four-lane body of EvalTileAccum.
+//
+//hot:path
+func (r RegularizedCoulomb) tile4(tx, ty, tz *[4]float64, sx, sy, sz, q []float64, phi *[4]float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	e2 := r.Eps * r.Eps
@@ -420,6 +459,15 @@ func (r RegularizedCoulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy
 //
 //hot:path
 func (ip InversePower) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+	for h := 0; h < TileWidth; h += 4 {
+		ip.tile4(half(tx, h), half(ty, h), half(tz, h), sx, sy, sz, q, half(phi, h))
+	}
+}
+
+// tile4 is the pure-Go four-lane body of EvalTileAccum.
+//
+//hot:path
+func (ip InversePower) tile4(tx, ty, tz *[4]float64, sx, sy, sz, q []float64, phi *[4]float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	e := -ip.P / 2
@@ -464,8 +512,7 @@ func (ip InversePower) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz,
 	phi[3] += p3
 }
 
-// --- Hand-specialized fp32 tile loops for the built-in F32 kernels, at
-// the eight-lane F32TileWidth.
+// --- Hand-specialized fp32 tile loops for the built-in F32 kernels.
 
 // coulombTileF32Loop, when non-nil, evaluates a whole fp32 Coulomb tile
 // with the eight targets packed across float32 SIMD lanes. It is
@@ -473,17 +520,17 @@ func (ip InversePower) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz,
 // roundings of the source arrays, the fp32 distance math, the
 // double-rounding-innocuous fp32 sqrt, the division and the per-lane
 // source-order accumulation all have exact vector twins (tile_amd64.s).
-var coulombTileF32Loop func(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32)
+var coulombTileF32Loop func(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, phi *[TileWidth]float32)
 
 // yukawaTileF32Loop, when non-nil, is the fp32 Yukawa tile: exact twins
 // everywhere except the exp, which runs the fp64 EXPPD polynomial on
 // widened lanes and narrows back — the YukawaTileF32MaxULP contract.
-var yukawaTileF32Loop func(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, negKappa float32, phi *[F32TileWidth]float32)
+var yukawaTileF32Loop func(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, negKappa float32, phi *[TileWidth]float32)
 
 // EvalTileAccumF32 implements F32TileKernel.
 //
 //hot:path
-func (Coulomb) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
+func (Coulomb) EvalTileAccumF32(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, phi *[TileWidth]float32) {
 	if coulombTileF32Loop != nil && len(q) > 0 {
 		coulombTileF32Loop(tx, ty, tz, sx, sy, sz, q, phi)
 		return
@@ -570,7 +617,7 @@ func (Coulomb) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q
 // EvalTileAccumF32 implements F32TileKernel.
 //
 //hot:path
-func (k Yukawa) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
+func (k Yukawa) EvalTileAccumF32(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, phi *[TileWidth]float32) {
 	if yukawaTileF32Loop != nil && len(q) > 0 {
 		yukawaTileF32Loop(tx, ty, tz, sx, sy, sz, q, -float32(k.Kappa), phi)
 		return
@@ -666,7 +713,7 @@ func (k Yukawa) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, 
 // EvalTileAccumF32 implements F32TileKernel.
 //
 //hot:path
-func (g Gaussian) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
+func (g Gaussian) EvalTileAccumF32(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, phi *[TileWidth]float32) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	s := float32(g.Sigma)
@@ -711,7 +758,7 @@ func (g Gaussian) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz
 // EvalTileAccumF32 implements F32TileKernel.
 //
 //hot:path
-func (r RegularizedCoulomb) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
+func (r RegularizedCoulomb) EvalTileAccumF32(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, phi *[TileWidth]float32) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	e := float32(r.Eps)

@@ -2,66 +2,49 @@
 
 package kernel
 
-// coulombTileAVX evaluates a full Coulomb source block against a 4-target
-// tile with the targets packed across YMM lanes (see tile_amd64.s). n must
-// be positive; there is no alignment or multiple-of-anything requirement
-// because each iteration broadcasts a single source to all four lanes.
+// cpuHasAVX reports whether this CPU and OS support AVX (VEX.256 float
+// math). Implemented in tile_amd64.s.
+func cpuHasAVX() bool
+
+// coulombTileAVX is the VEX-only Coulomb tile: two 4-lane YMM groups
+// sharing each source's broadcasts (see tile_amd64.s). n must be
+// positive; there is no alignment or multiple-of-anything requirement
+// because each iteration broadcasts a single source to every lane.
 //
 //go:noescape
 func coulombTileAVX(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, phi *[TileWidth]float64)
 
-// coulombTileAVX512 is the EVEX variant: same tile layout, but the
-// reciprocal runs as a correctly-rounded Newton–Raphson sequence on the
-// FMA ports, off the divide/sqrt unit that bounds the AVX loop. Requires
-// AVX-512 F+VL. See tile_amd64.s.
+// coulombTileZMM is the 512-bit Coulomb tile for parts with dual 512-bit
+// FMA pipes: one ZMM lane group with the square root computed by a
+// correctly-rounded Goldschmidt/Markstein sequence on the FMA ports, off
+// the divide/sqrt unit that bounds the YMM tile. Still bit-identical to
+// the scalar loop. Requires AVX-512 F+VL. See tile_amd64.s.
 //
 //go:noescape
-func coulombTileAVX512(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, phi *[TileWidth]float64)
+func coulombTileZMM(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, phi *[TileWidth]float64)
 
-// coulombTile8AVX is the register-blocked 8-target Coulomb tile: two
-// 4-lane groups sharing each source's broadcasts. AVX only. See
-// tile_amd64.s.
-//
-//go:noescape
-func coulombTile8AVX(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q *float64, n int, phi *[Tile8Width]float64)
-
-// coulombTile8AVX512 is the EVEX 8-target variant: the second lane group
-// lives entirely in the AVX-512VL upper register file (Y16-Y31) and both
-// groups use the Newton–Raphson reciprocal. See tile_amd64.s.
-//
-//go:noescape
-func coulombTile8AVX512(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q *float64, n int, phi *[Tile8Width]float64)
-
-// coulombTile8ZMM is the 512-bit 8-target variant for parts with dual
-// 512-bit FMA pipes: one ZMM lane group with the square root computed by
-// a correctly-rounded Goldschmidt/Markstein sequence on the FMA ports,
-// off the divide/sqrt unit that bounds the YMM tiles. Still bit-identical
-// to the scalar loop. Requires AVX-512 F+VL. See tile_amd64.s.
-//
-//go:noescape
-func coulombTile8ZMM(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q *float64, n int, phi *[Tile8Width]float64)
-
-// yukawaTileFMA evaluates a Yukawa source block against a 4-target tile
+// yukawaTileFMA evaluates a Yukawa source block against four targets
 // with exp computed by a range-reduced polynomial on the FMA ports
-// (EXPPD in tile_amd64.s). Requires AVX2+FMA; carries the measured-ULP
-// contract (YukawaTileMaxULP), not bit-identity. negKappa is -kappa.
+// (EXPPD in tile_amd64.s); the installed tile calls it on each half.
+// Requires AVX2+FMA; carries the measured-ULP contract
+// (YukawaTileMaxULP), not bit-identity. negKappa is -kappa.
 //
 //go:noescape
-func yukawaTileFMA(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, negKappa float64, phi *[TileWidth]float64)
+func yukawaTileFMA(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, negKappa float64, phi *[4]float64)
 
 // coulombTileF32AVX2 evaluates a Coulomb source block against an
 // 8-target fp32 tile, bit-identical to the scalar fp32 chains. Requires
 // AVX2 (register-source VBROADCASTSS). See tile_amd64.s.
 //
 //go:noescape
-func coulombTileF32AVX2(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q *float64, n int, phi *[F32TileWidth]float32)
+func coulombTileF32AVX2(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q *float64, n int, phi *[TileWidth]float32)
 
 // yukawaTileF32FMA evaluates a Yukawa source block against an 8-target
 // fp32 tile, exact except for the widened EXPPD exp (YukawaTileF32MaxULP
 // contract). Requires AVX2+FMA. negKappa is -float32(kappa).
 //
 //go:noescape
-func yukawaTileF32FMA(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q *float64, n int, negKappa float32, phi *[F32TileWidth]float32)
+func yukawaTileF32FMA(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q *float64, n int, negKappa float32, phi *[TileWidth]float32)
 
 // cpuHasAVX512VL reports AVX512F+VL support with full OS state saving.
 // Implemented in tile_amd64.s.
@@ -87,52 +70,37 @@ func init() {
 		cpuFeatureLevel = "avx"
 	}
 
-	// One installer for every assembly loop in the package (including
-	// block_amd64.go's coulombBlockHead, which its own init also sets —
-	// idempotently), so SetAsmKernels can flip them all together.
+	// One installer for every assembly loop in the package, so
+	// SetAsmKernels can flip them all together.
 	asmInstall = func(on bool) {
 		if !on {
-			coulombBlockHead = nil
 			coulombTileLoop = nil
-			coulombTile8Loop = nil
 			yukawaTileLoop = nil
 			coulombTileF32Loop = nil
 			yukawaTileF32Loop = nil
 			return
 		}
-		coulombBlockHead = coulombBlockHeadAVX
 		tile := coulombTileAVX
-		tile8 := coulombTile8AVX
 		if avx512 {
-			tile = coulombTileAVX512
 			// The pair-wise Goldschmidt/divider ZMM tile overlaps the two
-			// square-root resources (see tile_amd64.s); the register-blocked
-			// coulombTile8AVX512 is kept built and tested as the 256-bit
-			// alternative for parts where 512-bit execution doesn't pay.
-			tile8 = coulombTile8ZMM
+			// square-root resources (see tile_amd64.s).
+			tile = coulombTileZMM
 		}
 		coulombTileLoop = func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
 			tile(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), phi)
-		}
-		coulombTile8Loop = func(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q []float64, phi *[Tile8Width]float64) {
-			// Unlike the TileWidth loops, which sit behind EvalTileAccum
-			// dispatch that already skips empty blocks, Tile8Func is
-			// called directly by the drivers — guard the empty block here.
-			if len(q) == 0 {
-				return
-			}
-			tile8(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), phi)
 		}
 		if !fma {
 			return
 		}
 		yukawaTileLoop = func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, negKappa float64, phi *[TileWidth]float64) {
-			yukawaTileFMA(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), negKappa, phi)
+			for h := 0; h < TileWidth; h += 4 {
+				yukawaTileFMA(half(tx, h), half(ty, h), half(tz, h), &sx[0], &sy[0], &sz[0], &q[0], len(q), negKappa, half(phi, h))
+			}
 		}
-		coulombTileF32Loop = func(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
+		coulombTileF32Loop = func(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, phi *[TileWidth]float32) {
 			coulombTileF32AVX2(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), phi)
 		}
-		yukawaTileF32Loop = func(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, negKappa float32, phi *[F32TileWidth]float32) {
+		yukawaTileF32Loop = func(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q []float64, negKappa float32, phi *[TileWidth]float32) {
 			yukawaTileF32FMA(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), negKappa, phi)
 		}
 	}

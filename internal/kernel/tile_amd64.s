@@ -1,6 +1,10 @@
 #include "textflag.h"
 
-// +Inf, for the 1/sqrt(overflowed r2) = +0 lanes of the AVX-512 path.
+// 1.0, for the VDIVPD and Newton-Raphson reciprocals.
+DATA ·avxOne+0(SB)/8, $0x3ff0000000000000
+GLOBL ·avxOne(SB), RODATA|NOPTR, $8
+
+// +Inf, for the 1/sqrt(overflowed r2) = +0 lanes of the ZMM tile.
 DATA ·avxInf+0(SB)/8, $0x7ff0000000000000
 GLOBL ·avxInf(SB), RODATA|NOPTR, $8
 
@@ -224,13 +228,38 @@ DATA ·avxOnesF32+28(SB)/4, $0x3f800000
 	VMULPD       Y13, Y12, Y12;           \
 	VMULPD       Y14, Y12, Y12
 
+// func cpuHasAVX() bool
+//
+// CPUID leaf 1: ECX bit 28 is AVX, bit 27 is OSXSAVE; XGETBV(0) bits 1 and
+// 2 confirm the OS saves XMM and YMM state across context switches. All
+// three are required before any VEX.256 instruction may execute.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, AX
+	ANDL $(1<<27 | 1<<28), AX
+	CMPL AX, $(1<<27 | 1<<28)
+	JNE  noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func cpuHasAVX512VL() bool
 //
 // CPUID leaf 0 must report leaf 7; leaf 7 subleaf 0: EBX bit 16 is
 // AVX512F, bit 31 is AVX512VL (EVEX-encoded 128/256-bit forms).
 // XGETBV(0) must show the OS saving XMM, YMM, opmask, ZMM_Hi256 and
 // Hi16_ZMM state (XCR0 bits 1,2,5,6,7) before any EVEX instruction or
-// k-register may be used. cpuHasAVX (block_amd64.s) is checked
+// k-register may be used. cpuHasAVX is checked
 // separately by the caller for the OSXSAVE/AVX baseline.
 TEXT ·cpuHasAVX512VL(SB), NOSPLIT, $0-1
 	XORL AX, AX
@@ -258,7 +287,7 @@ novl:
 // func cpuHasAVX2FMA() bool
 //
 // CPUID leaf 1 ECX bit 12 is FMA3; leaf 7 subleaf 0 EBX bit 5 is AVX2.
-// The caller checks cpuHasAVX (block_amd64.s) first, which covers the
+// The caller checks cpuHasAVX first, which covers the
 // OSXSAVE/AVX baseline and the XMM+YMM state-saving bits, so only the
 // instruction-set bits are tested here.
 TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
@@ -281,221 +310,6 @@ TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
 
 nofma:
 	MOVB $0, ret+0(FP)
-	RET
-
-// func coulombTileAVX512(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, phi *[4]float64)
-//
-// Coulomb source block against a 4-target tile, one target per YMM lane,
-// with the reciprocal computed on the FMA ports instead of the divider.
-// The tile loops are divider-throughput-bound on this generation of x86
-// (VSQRTPD+VDIVPD ymm occupy the one divide/sqrt unit for ~13-16 cycles
-// combined), so the division is replaced by the classic Newton–Raphson /
-// Markstein sequence — the same construction GPUs use for IEEE fp64
-// division in software, which keeps the result CORRECTLY ROUNDED and
-// therefore bit-identical to VDIVPD:
-//
-//	y0 = rcp14(s)                         |rel err| <= 2^-14
-//	y1 = y0 + y0*(1 - s*y0)  (2 FMAs)     err ~ 2^-28
-//	y2 = y1 + y1*(1 - s*y1)  (2 FMAs)     err < 1 ulp (faithful)
-//	y3 = y2 + y2*(1 - s*y2)  (2 FMAs)     == RN(1/s) exactly
-//
-// Each 1 - s*y is one VFNMADD (exact in the final step, by the standard
-// cancellation lemma once y is faithful) and each update one VFMADD;
-// Markstein's round-off theorem gives correct rounding of the last
-// iterate for every s with normal 1/s. s = sqrt(r2) of a positive finite
-// r2 lies in [2^-537, 2^512], so 1/s is always normal and the theorem
-// applies on every unmasked lane; TestCoulombTileExtremeMagnitudes and
-// FuzzTileAccum pin the equality empirically across the magnitude range.
-// Edge lanes are handled with k-masks, matching the scalar code's
-// branches: r2 == 0 lanes (self-interaction) and s == +Inf lanes
-// (overflowed r2, where 1/Inf = +0) force g*q to +0 via zero-masking;
-// NaN coordinates keep the lane valid so the NaN propagates like the
-// scalar path (NEQ_UQ compares are unordered-true). Zeroing the product
-// instead of g alone cannot change the accumulator bits: the chain
-// starts at +0 and x + (+0) == x + (-0) for every x that is not -0, and
-// no partial sum here can be -0.
-//
-// Per-lane accumulation order and the single phi[t] += add match
-// coulombTileAVX below; bit-identity to the scalar loop in tile.go holds
-// for the same reasons, with VDIVPD's role taken by the proven-equal NR
-// reciprocal. The loop is deliberately one source per iteration and
-// 256-bit throughout: the iteration's ~18 FP uops on two FMA ports (~9
-// cycles) sit just above the 7-cycle VSQRTPD floor, and measured
-// variants — a two-source unroll on disjoint YMM chains, and a packed
-// two-sources-per-ZMM form — were no faster or slower here (the ZMM
-// form progressively downclocks under sustained 512-bit sqrt+FMA load).
-// n must be positive; sources are broadcast one at a time, so there is
-// no alignment or multiple-of-anything requirement.
-TEXT ·coulombTileAVX512(SB), NOSPLIT, $0-72
-	MOVQ         tx+0(FP), AX
-	VMOVUPD      (AX), Y0          // tx[0:4]
-	MOVQ         ty+8(FP), AX
-	VMOVUPD      (AX), Y1          // ty[0:4]
-	MOVQ         tz+16(FP), AX
-	VMOVUPD      (AX), Y2          // tz[0:4]
-	VBROADCASTSD ·avxOne(SB), Y4
-	VBROADCASTSD ·avxInf(SB), Y14
-	MOVQ         sx+24(FP), SI
-	MOVQ         sy+32(FP), DI
-	MOVQ         sz+40(FP), R8
-	MOVQ         q+48(FP), R9
-	MOVQ         n+56(FP), CX
-	XORQ         DX, DX            // j; indexed loads keep the integer
-	VXORPD       Y3, Y3, Y3        // per-lane block accumulators ...
-	VXORPD       Y5, Y5, Y5        // ... bookkeeping off the FP ports
-
-avx512loop:
-	VBROADCASTSD (SI)(DX*8), Y6    // sx[j] in every lane
-	VBROADCASTSD (DI)(DX*8), Y7    // sy[j]
-	VBROADCASTSD (R8)(DX*8), Y8    // sz[j]
-	VSUBPD       Y6, Y0, Y6        // dx = tx - sx[j]
-	VSUBPD       Y7, Y1, Y7        // dy = ty - sy[j]
-	VSUBPD       Y8, Y2, Y8        // dz = tz - sz[j]
-	VMULPD       Y6, Y6, Y6        // dx*dx
-	VMULPD       Y7, Y7, Y7        // dy*dy
-	VMULPD       Y8, Y8, Y8        // dz*dz
-	VADDPD       Y7, Y6, Y6        // dx*dx + dy*dy
-	VADDPD       Y8, Y6, Y6        // r2 = (dx*dx + dy*dy) + dz*dz
-	VCMPPD       $4, Y5, Y6, K1    // valid = (r2 != 0), NEQ_UQ
-	VSQRTPD      Y6, Y9            // s = sqrt(r2)
-	VCMPPD       $4, Y14, Y9, K2   // finite = (s != +Inf), NEQ_UQ
-	KANDW        K2, K1, K1
-	VRCP14PD     Y9, Y10           // y0 ~ 1/s
-	VMOVAPD      Y4, Y11
-	VFNMADD231PD Y10, Y9, Y11      // e0 = 1 - s*y0
-	VFMADD213PD  Y10, Y10, Y11     // y1 = y0 + y0*e0
-	VMOVAPD      Y4, Y12
-	VFNMADD231PD Y11, Y9, Y12      // e1 = 1 - s*y1
-	VFMADD213PD  Y11, Y11, Y12     // y2 = y1 + y1*e1
-	VMOVAPD      Y4, Y13
-	VFNMADD231PD Y12, Y9, Y13      // e2 = 1 - s*y2, exact
-	VFMADD213PD  Y12, Y12, Y13     // g = y2 + y2*e2 = RN(1/s)
-	VBROADCASTSD (R9)(DX*8), Y9    // q[j]
-	VMULPD.Z     Y9, Y13, K1, Y10  // g*q[j]; +0 on masked lanes
-	VADDPD       Y10, Y3, Y3       // p[t] += g*q[j], in source order per lane
-
-	INCQ DX
-	CMPQ DX, CX
-	JNE  avx512loop
-
-	// phi[t] += p[t]: one per-lane add of the block total.
-	MOVQ    phi+64(FP), AX
-	VMOVUPD (AX), Y6
-	VADDPD  Y3, Y6, Y6
-	VMOVUPD Y6, (AX)
-	VZEROUPPER
-	RET
-
-// func coulombTileAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, phi *[4]float64)
-//
-// Coulomb source block against a 4-target tile, one target per YMM lane.
-// Each iteration broadcasts one source to all lanes, so every lane t runs
-// the exact scalar expression sequence for its target — dx = tx[t]-sx[j],
-// r2 = (dx*dx + dy*dy) + dz*dz, g = 1/sqrt(r2) (zeroed by mask when
-// r2 == 0), p += g*q[j] — with IEEE-correctly-rounded per-lane twins of
-// the scalar ops (VSUBPD/VMULPD/VADDPD in the same expression order,
-// VSQRTPD for math.Sqrt, VDIVPD for the reciprocal — never FMA). Per-lane
-// VADDPD accumulation visits sources in j order, so each target's chain
-// is bit-identical to the scalar loop in tile.go; unlike the single-target
-// block loop in block_amd64.s there is no serial cross-lane VADDSD chain
-// left to bound the iteration, only the divider. The final phi update is
-// one per-lane add of the block total, matching the phi[t] += p contract.
-TEXT ·coulombTileAVX(SB), NOSPLIT, $0-72
-	MOVQ         tx+0(FP), AX
-	VMOVUPD      (AX), Y0          // tx[0:4]
-	MOVQ         ty+8(FP), AX
-	VMOVUPD      (AX), Y1          // ty[0:4]
-	MOVQ         tz+16(FP), AX
-	VMOVUPD      (AX), Y2          // tz[0:4]
-	VBROADCASTSD ·avxOne(SB), Y4
-	MOVQ         sx+24(FP), SI
-	MOVQ         sy+32(FP), DI
-	MOVQ         sz+40(FP), R8
-	MOVQ         q+48(FP), R9
-	MOVQ         n+56(FP), CX
-	VXORPD       Y3, Y3, Y3        // per-lane block accumulators
-	VXORPD       Y5, Y5, Y5        // zeros for the r2 == 0 mask
-
-	SUBQ $1, CX
-	JZ   tail                      // n == 1: single-source epilogue only
-
-loop2:
-	// Two sources per iteration, fully independent register chains, so
-	// the sqrt/div pipeline always has a second problem in flight. The
-	// two accumulator adds stay in j, j+1 order per lane.
-	VBROADCASTSD (SI), Y6          // sx[j] in every lane
-	VBROADCASTSD (DI), Y7          // sy[j]
-	VBROADCASTSD (R8), Y8          // sz[j]
-	VBROADCASTSD 8(SI), Y10        // sx[j+1]
-	VBROADCASTSD 8(DI), Y11        // sy[j+1]
-	VBROADCASTSD 8(R8), Y12        // sz[j+1]
-	VSUBPD       Y6, Y0, Y6        // dx = tx - sx[j]
-	VSUBPD       Y7, Y1, Y7        // dy = ty - sy[j]
-	VSUBPD       Y8, Y2, Y8        // dz = tz - sz[j]
-	VSUBPD       Y10, Y0, Y10
-	VSUBPD       Y11, Y1, Y11
-	VSUBPD       Y12, Y2, Y12
-	VMULPD       Y6, Y6, Y6        // dx*dx
-	VMULPD       Y7, Y7, Y7        // dy*dy
-	VMULPD       Y8, Y8, Y8        // dz*dz
-	VMULPD       Y10, Y10, Y10
-	VMULPD       Y11, Y11, Y11
-	VMULPD       Y12, Y12, Y12
-	VADDPD       Y7, Y6, Y6        // dx*dx + dy*dy
-	VADDPD       Y8, Y6, Y6        // r2 = (dx*dx + dy*dy) + dz*dz
-	VADDPD       Y11, Y10, Y10
-	VADDPD       Y12, Y10, Y10
-	VCMPPD       $0, Y5, Y6, Y8    // mask = (r2 == 0), EQ_OQ
-	VSQRTPD      Y6, Y7            // sqrt(r2)
-	VCMPPD       $0, Y5, Y10, Y12
-	VSQRTPD      Y10, Y11
-	VDIVPD       Y7, Y4, Y7        // g = 1 / sqrt(r2)
-	VDIVPD       Y11, Y4, Y11
-	VANDNPD      Y7, Y8, Y7        // g = 0 on self-interaction lanes
-	VANDNPD      Y11, Y12, Y11
-	VBROADCASTSD (R9), Y9          // q[j]
-	VMULPD       Y9, Y7, Y7        // g * q[j]
-	VADDPD       Y7, Y3, Y3        // p[t] += g*q[j]
-	VBROADCASTSD 8(R9), Y13        // q[j+1]
-	VMULPD       Y13, Y11, Y11
-	VADDPD       Y11, Y3, Y3       // p[t] += g*q[j+1], after source j
-
-	ADDQ $16, SI
-	ADDQ $16, DI
-	ADDQ $16, R8
-	ADDQ $16, R9
-	SUBQ $2, CX
-	JG   loop2
-	JL   done                      // even n: no source left
-
-tail:
-	VBROADCASTSD (SI), Y6          // last source when n is odd
-	VBROADCASTSD (DI), Y7
-	VBROADCASTSD (R8), Y8
-	VSUBPD       Y6, Y0, Y6
-	VSUBPD       Y7, Y1, Y7
-	VSUBPD       Y8, Y2, Y8
-	VMULPD       Y6, Y6, Y6
-	VMULPD       Y7, Y7, Y7
-	VMULPD       Y8, Y8, Y8
-	VADDPD       Y7, Y6, Y6
-	VADDPD       Y8, Y6, Y6
-	VCMPPD       $0, Y5, Y6, Y8
-	VSQRTPD      Y6, Y7
-	VDIVPD       Y7, Y4, Y7
-	VANDNPD      Y7, Y8, Y7
-	VBROADCASTSD (R9), Y9
-	VMULPD       Y9, Y7, Y7
-	VADDPD       Y7, Y3, Y3
-
-done:
-
-	// phi[t] += p[t]: one per-lane add of the block total.
-	MOVQ    phi+64(FP), AX
-	VMOVUPD (AX), Y6
-	VADDPD  Y3, Y6, Y6
-	VMOVUPD Y6, (AX)
-	VZEROUPPER
 	RET
 
 // func yukawaTileFMA(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, negKappa float64, phi *[4]float64)
@@ -723,132 +537,25 @@ yf32loop:
 	VZEROUPPER
 	RET
 
-// func coulombTile8AVX512(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
+// func coulombTileAVX(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
 //
-// Coulomb source block against an 8-target fp64 tile: two independent
-// 4-lane YMM groups (targets 0:4 and 4:8) that SHARE each iteration's
-// three source broadcasts and q broadcast — the register-blocked form of
-// coulombTileAVX512. Doubling the tile width amortizes the per-source
-// broadcast traffic and the per-block dispatch overhead over twice the
-// targets while staying 256-bit (the ZMM form downclocks, see the
-// 4-wide prologue). EVEX register space (Y16-Y31, via AVX-512VL) holds
-// the second group's entire dataflow, so the two groups never spill.
-//
-// Bit-identity: each lane of either group runs exactly the 4-wide
-// AVX-512 sequence — same expression order, same NR reciprocal (equal
-// to VDIVPD by Markstein, see coulombTileAVX512), same masking, and
-// per-lane accumulation in source order with a single phi[t] += add.
-// Regrouping targets into tiles of a different width cannot change any
-// target's chain, so the 8-wide tile is bit-identical to both the
-// 4-wide tile and the scalar loop. n must be positive.
-TEXT ·coulombTile8AVX512(SB), NOSPLIT, $0-72
-	MOVQ         tx+0(FP), AX
-	VMOVUPD      (AX), Y0          // tx[0:4]
-	VMOVUPD      32(AX), Y16       // tx[4:8]
-	MOVQ         ty+8(FP), AX
-	VMOVUPD      (AX), Y1          // ty[0:4]
-	VMOVUPD      32(AX), Y17       // ty[4:8]
-	MOVQ         tz+16(FP), AX
-	VMOVUPD      (AX), Y2          // tz[0:4]
-	VMOVUPD      32(AX), Y18       // tz[4:8]
-	VBROADCASTSD ·avxOne(SB), Y4
-	VBROADCASTSD ·avxInf(SB), Y14
-	MOVQ         sx+24(FP), SI
-	MOVQ         sy+32(FP), DI
-	MOVQ         sz+40(FP), R8
-	MOVQ         q+48(FP), R9
-	MOVQ         n+56(FP), CX
-	XORQ         DX, DX            // j
-	VXORPD       Y3, Y3, Y3        // accumulators, lanes 0:4
-	VPXORQ       Y19, Y19, Y19     // accumulators, lanes 4:8
-	VXORPD       Y5, Y5, Y5        // zeros for the r2 != 0 compare
-
-tile8loop:
-	VBROADCASTSD (SI)(DX*8), Y6    // sx[j], shared by both groups
-	VBROADCASTSD (DI)(DX*8), Y7    // sy[j]
-	VBROADCASTSD (R8)(DX*8), Y8    // sz[j]
-
-	// r2 for both groups first, so both VSQRTPDs are in flight before
-	// the FMA-port NR sequences begin.
-	VSUBPD       Y6, Y0, Y10       // dxA
-	VSUBPD       Y7, Y1, Y11       // dyA
-	VSUBPD       Y8, Y2, Y12       // dzA
-	VMULPD       Y10, Y10, Y10
-	VMULPD       Y11, Y11, Y11
-	VMULPD       Y12, Y12, Y12
-	VADDPD       Y11, Y10, Y10
-	VADDPD       Y12, Y10, Y10     // r2A = (dx*dx + dy*dy) + dz*dz
-	VSUBPD       Y6, Y16, Y20      // dxB
-	VSUBPD       Y7, Y17, Y21      // dyB
-	VSUBPD       Y8, Y18, Y22      // dzB
-	VMULPD       Y20, Y20, Y20
-	VMULPD       Y21, Y21, Y21
-	VMULPD       Y22, Y22, Y22
-	VADDPD       Y21, Y20, Y20
-	VADDPD       Y22, Y20, Y20     // r2B
-	VCMPPD       $4, Y5, Y10, K1   // validA = (r2A != 0), NEQ_UQ
-	VCMPPD       $4, Y5, Y20, K3   // validB
-	VSQRTPD      Y10, Y9           // sA
-	VSQRTPD      Y20, Y23          // sB
-	VCMPPD       $4, Y14, Y9, K2   // finiteA = (sA != +Inf)
-	VCMPPD       $4, Y14, Y23, K4
-	KANDW        K2, K1, K1
-	KANDW        K4, K3, K3
-
-	// Newton-Raphson reciprocals, both groups (see coulombTileAVX512).
-	VRCP14PD     Y9, Y10
-	VMOVAPD      Y4, Y11
-	VFNMADD231PD Y10, Y9, Y11      // e0 = 1 - sA*y0
-	VFMADD213PD  Y10, Y10, Y11     // y1
-	VMOVAPD      Y4, Y12
-	VFNMADD231PD Y11, Y9, Y12
-	VFMADD213PD  Y11, Y11, Y12     // y2
-	VMOVAPD      Y4, Y13
-	VFNMADD231PD Y12, Y9, Y13
-	VFMADD213PD  Y12, Y12, Y13     // gA = RN(1/sA)
-	VRCP14PD     Y23, Y20
-	VMOVAPD      Y4, Y21
-	VFNMADD231PD Y20, Y23, Y21
-	VFMADD213PD  Y20, Y20, Y21
-	VMOVAPD      Y4, Y22
-	VFNMADD231PD Y21, Y23, Y22
-	VFMADD213PD  Y21, Y21, Y22
-	VMOVAPD      Y4, Y24
-	VFNMADD231PD Y22, Y23, Y24
-	VFMADD213PD  Y22, Y22, Y24     // gB = RN(1/sB)
-
-	VBROADCASTSD (R9)(DX*8), Y9    // q[j], shared
-	VMULPD.Z     Y9, Y13, K1, Y10  // gA*q[j]; +0 on masked lanes
-	VADDPD       Y10, Y3, Y3       // pA[t] += gA*q[j], in source order
-	VMULPD.Z     Y9, Y24, K3, Y20
-	VADDPD       Y20, Y19, Y19     // pB[t] += gB*q[j]
-
-	INCQ DX
-	CMPQ DX, CX
-	JNE  tile8loop
-
-	// phi[t] += p[t]: one per-lane add of each block total.
-	MOVQ    phi+64(FP), AX
-	VMOVUPD (AX), Y6
-	VADDPD  Y3, Y6, Y6
-	VMOVUPD Y6, (AX)
-	VMOVUPD 32(AX), Y6
-	VADDPD  Y19, Y6, Y6
-	VMOVUPD Y6, 32(AX)
-	VZEROUPPER
-	RET
-
-// func coulombTile8AVX(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
-//
-// The VEX-only 8-target Coulomb tile: two 4-lane groups sharing each
-// source's broadcasts, with VDIVPD for the reciprocal (coulombTileAVX's
-// arithmetic, coulombTile8AVX512's register blocking). The sixteen VEX
-// registers force the two groups to run back-to-back per source with a
-// two-register working set each; out-of-order execution still overlaps
-// group B's distance math with group A's sqrt/divide latency. Bit-
-// identity per lane follows exactly as in coulombTileAVX. n must be
-// positive.
-TEXT ·coulombTile8AVX(SB), NOSPLIT, $0-72
+// The VEX-only Coulomb tile: two 4-lane YMM groups (targets 0:4 and 4:8)
+// sharing each source's broadcasts. Each iteration broadcasts one source
+// to all lanes, so every lane t runs the exact scalar expression sequence
+// for its target — dx = tx[t]-sx[j], r2 = (dx*dx + dy*dy) + dz*dz,
+// g = 1/sqrt(r2) (zeroed by mask when r2 == 0), p += g*q[j] — with
+// IEEE-correctly-rounded per-lane twins of the scalar ops (VSUBPD/VMULPD/
+// VADDPD in the same expression order, VSQRTPD for math.Sqrt, VDIVPD for
+// the reciprocal — never FMA). Per-lane VADDPD accumulation visits
+// sources in j order, so each target's chain is bit-identical to the
+// scalar loop, and the final phi update is one per-lane add of the block
+// total. The sixteen VEX registers force the two groups to run
+// back-to-back per source with a two-register working set each;
+// out-of-order execution still overlaps group B's distance math with
+// group A's sqrt/divide latency. n must be positive; sources are
+// broadcast one at a time, so there is no alignment or
+// multiple-of-anything requirement.
+TEXT ·coulombTileAVX(SB), NOSPLIT, $0-72
 	MOVQ         tx+0(FP), AX
 	VMOVUPD      (AX), Y0          // tx[0:4]
 	VMOVUPD      32(AX), Y10       // tx[4:8]
@@ -869,7 +576,7 @@ TEXT ·coulombTile8AVX(SB), NOSPLIT, $0-72
 	VXORPD       Y13, Y13, Y13     // accumulators, lanes 4:8
 	VXORPD       Y5, Y5, Y5        // zeros for the r2 == 0 mask
 
-tile8avxloop:
+tileavxloop:
 	VBROADCASTSD (SI)(DX*8), Y6    // sx[j], shared by both groups
 	VBROADCASTSD (DI)(DX*8), Y7    // sy[j]
 	VBROADCASTSD (R8)(DX*8), Y8    // sz[j]
@@ -909,7 +616,7 @@ tile8avxloop:
 
 	INCQ DX
 	CMPQ DX, CX
-	JNE  tile8avxloop
+	JNE  tileavxloop
 
 	// phi[t] += p[t]: one per-lane add of each block total.
 	MOVQ    phi+64(FP), AX
@@ -923,22 +630,41 @@ tile8avxloop:
 	RET
 
 
-// func coulombTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
+// func coulombTileZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
 //
 // Coulomb source block against an 8-target fp64 tile in one ZMM lane
 // group, processing sources in PAIRS so that the two square roots run on
 // DIFFERENT execution resources concurrently: the even source's sqrt goes
 // to the divide/sqrt unit (VSQRTPD zmm, ~22 cycles throughput), while the
 // odd source's sqrt is computed entirely on the FMA ports by a
-// Goldschmidt/Markstein sequence (~27 FMA-port uops). The YMM tiles above
-// serialize two VSQRTPD ymm on the one divider (~23 cycles per 8
+// Goldschmidt/Markstein sequence (~27 FMA-port uops). The YMM tile above
+// serializes two VSQRTPD ymm on the one divider (~23 cycles per 8
 // targets); here a PAIR of sources (16 interactions) retires in
 // max(divider ~22, FMA-ports ~27-31) cycles because the streams overlap,
 // which measures ~1.5x faster per interaction on dual-512-bit-FMA parts.
 //
-// The even/A stream is coulombTileAVX512's proven arithmetic: VSQRTPD
-// then the Newton-Raphson reciprocal (correctly rounded by Markstein's
-// theorem, see the 4-wide prologue). The odd/B stream computes the square
+// The even/A stream takes VSQRTPD and then replaces the division by the
+// classic Newton-Raphson / Markstein sequence — the construction GPUs use
+// for IEEE fp64 division in software — which keeps the reciprocal
+// CORRECTLY ROUNDED and therefore bit-identical to VDIVPD:
+//
+//	y0 = rcp14(s)                         |rel err| <= 2^-14
+//	y1 = y0 + y0*(1 - s*y0)  (2 FMAs)     err ~ 2^-28
+//	y2 = y1 + y1*(1 - s*y1)  (2 FMAs)     err < 1 ulp (faithful)
+//	y3 = y2 + y2*(1 - s*y2)  (2 FMAs)     == RN(1/s) exactly
+//
+// Each 1 - s*y is one VFNMADD (exact in the final step, by the standard
+// cancellation lemma once y is faithful) and each update one VFMADD;
+// Markstein's round-off theorem gives correct rounding of the last
+// iterate for every s with normal 1/s. s = sqrt(r2) of a positive finite
+// r2 lies in [2^-537, 2^512], so 1/s is always normal and the theorem
+// applies on every unmasked lane; s == +Inf lanes (overflowed r2, where
+// 1/Inf = +0) are masked to +0 like the scalar result. Masking zeroes
+// the product g*q rather than g alone, which cannot change the
+// accumulator bits: the chain starts at +0 and x + (+0) == x + (-0) for
+// every x that is not -0, and no partial sum here can be -0.
+// TestCoulombTileExtremeMagnitudes pins the equality across the
+// magnitude range. The odd/B stream computes the square
 // root itself on the FMA ports with the classic Goldschmidt/Markstein
 // construction (Markstein, "IA-64 and Elementary Functions"; the same
 // scheme GPUs use for IEEE fp64 sqrt in software), which keeps the result
@@ -969,8 +695,8 @@ tile8avxloop:
 // valid lane, so a target whose sources take different paths still
 // accumulates bit-identically to the scalar loop: the two per-pair
 // accumulator adds retire in source order (j then j+1), x == 0
-// (self-interaction) lanes are zero-masked exactly like the YMM tiles
-// (the B stream's NaN dataflow on those lanes is discarded by the mask;
+// (self-interaction) lanes are zero-masked like the YMM tile's (the
+// B stream's NaN dataflow on those lanes is discarded by the mask;
 // VPTESTMQ on the bit pattern equals the r2 != 0 compare because r2 is
 // never -0), and NaN coordinates (unordered on both range compares) stay
 // in the fast path and propagate like the scalar code. In treecode
@@ -991,7 +717,7 @@ tile8avxloop:
 // the scalar loop exactly, as in the other tiles; bit-identity of the
 // whole tile follows. An odd trailing source runs through a single-source
 // copy of the A stream. Requires AVX-512 F+VL. n must be positive.
-TEXT ·coulombTile8ZMM(SB), NOSPLIT, $0-72
+TEXT ·coulombTileZMM(SB), NOSPLIT, $0-72
 	MOVQ         tx+0(FP), AX
 	VMOVUPD      (AX), Z0          // tx[0:8]
 	MOVQ         ty+8(FP), AX
@@ -1010,9 +736,9 @@ TEXT ·coulombTile8ZMM(SB), NOSPLIT, $0-72
 	XORQ         DX, DX            // j
 	VPXORQ       Z3, Z3, Z3        // per-lane block accumulators
 	CMPQ         DX, BX
-	JGE          tile8ztail        // n == 1
+	JGE          tileztail        // n == 1
 
-tile8zpair:
+tilezpair:
 	// Stream A (source j): r2, then VSQRTPD issues immediately so the
 	// divide/sqrt unit runs underneath stream B's FMA sequence.
 	VBROADCASTSD (SI)(DX*8), Z6    // sx[j] in every lane
@@ -1047,7 +773,7 @@ tile8zpair:
 	KANDW        K3, K5, K5        // small lanes that are not self terms
 	KORW         K6, K5, K5
 	KORTESTW     K5, K5
-	JNZ          tile8zpatch
+	JNZ          tilezpatch
 
 	// B: sB = RN(sqrt(xB)) on the FMA ports (see prologue).
 	VRSQRT14PD   Z8, Z9            // y0
@@ -1077,8 +803,8 @@ tile8zpair:
 	VFNMADD231PD Z12, Z10, Z13     // e1 = 1 - s*y1, exact
 	VFMADD213PD  Z12, Z12, Z13     // gB = RN(1/sB), in Z13
 
-tile8zjoin:
-	// A: Newton-Raphson reciprocal of sA (see coulombTileAVX512), then
+tilezjoin:
+	// A: Newton-Raphson reciprocal of sA (see prologue), then
 	// both accumulator adds in source order: j first, j+1 second.
 	VCMPPD.BCST  $4, ·avxInf(SB), Z7, K2 // finiteA = (sA != +Inf), NEQ_UQ
 	KANDW        K2, K1, K1
@@ -1101,11 +827,11 @@ tile8zjoin:
 
 	ADDQ $2, DX
 	CMPQ DX, BX
-	JLT  tile8zpair
+	JLT  tilezpair
 
-tile8ztail:
+tileztail:
 	CMPQ DX, CX
-	JGE  tile8zdone
+	JGE  tilezdone
 
 	// Odd trailing source: one pass of the A-stream arithmetic.
 	VBROADCASTSD (SI)(DX*8), Z6
@@ -1137,7 +863,7 @@ tile8ztail:
 	VMULPD.Z     Z11, Z10, K1, Z12
 	VADDPD       Z12, Z3, Z3
 
-tile8zdone:
+tilezdone:
 	// phi[t] += p[t]: one per-lane add of the block total.
 	MOVQ    phi+64(FP), AX
 	VMOVUPD (AX), Z6
@@ -1146,7 +872,7 @@ tile8zdone:
 	VZEROUPPER
 	RET
 
-tile8zpatch:
+tilezpatch:
 	// Source j+1 has a lane outside the Goldschmidt fast range (denormal
 	// or overflowed r2): redo it on the divider, which is proven over the
 	// full magnitude range. Correctly rounded values are path-independent,
@@ -1164,4 +890,4 @@ tile8zpatch:
 	VMOVAPD      Z4, Z13
 	VFNMADD231PD Z10, Z9, Z13
 	VFMADD213PD  Z10, Z10, Z13     // gB = RN(1/sB), in Z13
-	JMP          tile8zjoin
+	JMP          tilezjoin

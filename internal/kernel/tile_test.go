@@ -6,12 +6,64 @@ import (
 	"testing"
 )
 
-// tileTestSizes covers every residue mod TileWidth and mod F32TileWidth at
-// small and moderate block lengths, so the specialized loops, the AVX
-// tiles (which handle any n), and the adapters all see ragged sizes.
+// tileTestKernels lists every built-in kernel with non-trivial parameters.
+func tileTestKernels() []Kernel {
+	return []Kernel{
+		Coulomb{},
+		Yukawa{Kappa: 0.7},
+		Gaussian{Sigma: 1.3},
+		Multiquadric{C: 0.4},
+		RegularizedCoulomb{Eps: 0.05},
+		InversePower{P: 3},
+	}
+}
+
+// tileTestSources builds a random source block that includes a source
+// coincident with the target (tx, ty, tz), exercising the r2 == 0 branch
+// of the singular kernels exactly as self-interactions do in the
+// treecode.
+func tileTestSources(rng *rand.Rand, n int, tx, ty, tz float64) (sx, sy, sz, q []float64) {
+	sx = make([]float64, n)
+	sy = make([]float64, n)
+	sz = make([]float64, n)
+	q = make([]float64, n)
+	for j := range sx {
+		sx[j] = rng.Float64()*2 - 1
+		sy[j] = rng.Float64()*2 - 1
+		sz[j] = rng.Float64()*2 - 1
+		q[j] = rng.Float64()*2 - 1
+	}
+	sx[n/2], sy[n/2], sz[n/2] = tx, ty, tz // self term
+	return sx, sy, sz, q
+}
+
+// scalarAccum is the per-target reference the TileKernel contract is
+// defined against: per-source interface Eval, accumulated in index order.
+func scalarAccum(k Kernel, tx, ty, tz float64, sx, sy, sz, q []float64) float64 {
+	var phi float64
+	for j := range q {
+		phi += k.Eval(tx, ty, tz, sx[j], sy[j], sz[j]) * q[j]
+	}
+	return phi
+}
+
+// scalarAccumF32 is the single-precision reference: per-element rounding
+// of the float64 storage, float32 accumulation.
+func scalarAccumF32(k F32Kernel, tx, ty, tz float32, sx, sy, sz, q []float64) float32 {
+	var phi float32
+	for j := range q {
+		phi += k.EvalF32(tx, ty, tz, float32(sx[j]), float32(sy[j]), float32(sz[j])) * float32(q[j])
+	}
+	return phi
+}
+
+// tileTestSizes covers every residue mod TileWidth at small and moderate
+// block lengths, so the specialized loops, the AVX tiles (which handle
+// any n, and the ZMM tile's odd trailing source), and the adapters all
+// see ragged sizes.
 var tileTestSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 31, 32, 33, 34, 63, 64, 65, 66, 127, 128, 129, 130}
 
-// tileTestTargets builds a random 4-target tile.
+// tileTestTargets builds a random fp64 tile.
 func tileTestTargets(rng *rand.Rand) (tx, ty, tz [TileWidth]float64) {
 	for t := 0; t < TileWidth; t++ {
 		tx[t] = rng.Float64()*2 - 1
@@ -156,10 +208,10 @@ func checkTilePhiF32(t *testing.T, label string, n, maxULP int, got, want, absSu
 // every built-in kernel at tile-ragged sizes, twice: once with whatever
 // loops init() installed (assembly on capable hardware) and once forced
 // through the pure-Go fallbacks via SetAsmKernels(false). Exact kernels
-// must match the per-target block path, the generic adapter (forced
-// through kernel.Func so AsTile cannot return the specialization), and
-// the scalar reference bit-for-bit — including the single phi[t] += add
-// into a preloaded, nonzero phi tile. Transcendental tiles (the asm
+// must match the per-target scalar Eval loop and the generic adapter
+// (forced through kernel.Func so AsTile cannot return the specialization)
+// bit-for-bit — including the single phi[t] += add into a preloaded,
+// nonzero phi tile. Transcendental tiles (the asm
 // Yukawa) are held to their pinned TileMaxULP bound instead; with the
 // assembly off, TileMaxULP reports 0 and the same code path re-pins the
 // Go loops as exact.
@@ -177,7 +229,7 @@ func TestTileKernelBitIdentical(t *testing.T) {
 
 func testTileKernelContract(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	for _, k := range blockTestKernels() {
+	for _, k := range tileTestKernels() {
 		t.Run(k.Name(), func(t *testing.T) {
 			tk := AsTile(k)
 			if _, ok := k.(TileKernel); !ok {
@@ -185,12 +237,17 @@ func testTileKernelContract(t *testing.T, seed int64) {
 			}
 			maxULP := TileMaxULP(k)
 			adapter := AsTile(Func{KernelName: k.Name() + "-func", F: k.Eval})
-			bk := AsBlock(k)
 			for _, n := range tileTestSizes {
 				tx, ty, tz := tileTestTargets(rng)
-				// The self term sits on target 1, so one lane exercises
-				// the r2 == 0 branch while the others stay regular.
-				sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
+				// The self terms sit on targets 1 and 6, one per 4-lane
+				// half (the second at an odd source index, which the ZMM
+				// tile's Goldschmidt stream takes), so those lanes
+				// exercise the r2 == 0 branch while the others stay
+				// regular.
+				sx, sy, sz, q := tileTestSources(rng, n, tx[1], ty[1], tz[1])
+				if n > 2 {
+					sx[1], sy[1], sz[1] = tx[6], ty[6], tz[6]
+				}
 
 				var phi0 [TileWidth]float64
 				for t := range phi0 {
@@ -199,15 +256,8 @@ func testTileKernelContract(t *testing.T, seed int64) {
 				want := phi0
 				var absSum [TileWidth]float64
 				for t := 0; t < TileWidth; t++ {
-					want[t] += bk.EvalBlockAccum(tx[t], ty[t], tz[t], sx, sy, sz, q)
+					want[t] += scalarAccum(k, tx[t], ty[t], tz[t], sx, sy, sz, q)
 					absSum[t] = scalarAccumAbs(k, tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-				scalar := phi0
-				for t := 0; t < TileWidth; t++ {
-					scalar[t] += scalarAccum(k, tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-				if want != scalar {
-					t.Fatalf("n=%d: block reference %v != scalar reference %v", n, want, scalar)
 				}
 
 				got := phi0
@@ -222,11 +272,9 @@ func testTileKernelContract(t *testing.T, seed int64) {
 }
 
 // TestF32TileKernelBitIdentical is the fp32 analogue for the built-in
-// kernels that implement F32Kernel, at the eight-lane F32TileWidth and
-// with the same installed/pure-go double pass. Sizes cover every residue
-// mod 4 and mod 8 (tileTestSizes), which is the fp32 ragged-tail pin: the
-// drivers' width-8 main loop plus epilogues must agree with a straight
-// per-target reference at every residue.
+// kernels that implement F32Kernel, with the same installed/pure-go
+// double pass. Source block sizes cover every residue mod 8
+// (tileTestSizes).
 func TestF32TileKernelBitIdentical(t *testing.T) {
 	t.Run("installed", func(t *testing.T) { testF32TileKernelContract(t, 45) })
 	t.Run("pure-go", func(t *testing.T) {
@@ -241,7 +289,7 @@ func TestF32TileKernelBitIdentical(t *testing.T) {
 
 func testF32TileKernelContract(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	for _, k := range blockTestKernels() {
+	for _, k := range tileTestKernels() {
 		f32, ok := k.(F32Kernel)
 		if !ok {
 			continue
@@ -252,33 +300,25 @@ func testF32TileKernelContract(t *testing.T, seed int64) {
 				t.Fatalf("built-in F32 kernel %s does not implement F32TileKernel", k.Name())
 			}
 			maxULP := F32TileMaxULP(f32)
-			adapter := f32TileAdapter{f32BlockAdapter{f32}}
-			bk := AsF32Block(f32)
+			adapter := f32TileAdapter{f32}
 			for _, n := range tileTestSizes {
-				var tx, ty, tz [F32TileWidth]float32
-				for t := 0; t < F32TileWidth; t++ {
+				var tx, ty, tz [TileWidth]float32
+				for t := 0; t < TileWidth; t++ {
 					tx[t] = float32(rng.Float64()*2 - 1)
 					ty[t] = float32(rng.Float64()*2 - 1)
 					tz[t] = float32(rng.Float64()*2 - 1)
 				}
-				sx, sy, sz, q := blockTestSources(rng, n, float64(tx[1]), float64(ty[1]), float64(tz[1]))
+				sx, sy, sz, q := tileTestSources(rng, n, float64(tx[1]), float64(ty[1]), float64(tz[1]))
 
-				var phi0 [F32TileWidth]float32
+				var phi0 [TileWidth]float32
 				for t := range phi0 {
 					phi0[t] = float32(rng.Float64()*2 - 1)
 				}
 				want := phi0
-				var absSum [F32TileWidth]float32
-				for t := 0; t < F32TileWidth; t++ {
-					want[t] += bk.EvalBlockAccumF32(tx[t], ty[t], tz[t], sx, sy, sz, q)
+				var absSum [TileWidth]float32
+				for t := 0; t < TileWidth; t++ {
+					want[t] += scalarAccumF32(f32, tx[t], ty[t], tz[t], sx, sy, sz, q)
 					absSum[t] = scalarAccumAbsF32(f32, tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-				scalar := phi0
-				for t := 0; t < F32TileWidth; t++ {
-					scalar[t] += scalarAccumF32(f32, tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-				if want != scalar {
-					t.Fatalf("n=%d: fp32 block reference %v != scalar reference %v", n, want, scalar)
 				}
 
 				got := phi0
@@ -289,55 +329,6 @@ func testF32TileKernelContract(t *testing.T, seed int64) {
 				checkTilePhiF32(t, "fp32 adapter tile", n, 0, got[:], want[:], absSum[:])
 			}
 		})
-	}
-}
-
-// TestCoulombTile8BitIdentical pins the register-blocked 8-wide Coulomb
-// tile against the per-target block reference: bit-identity at every
-// ragged size, self terms included — regrouping targets into a wider tile
-// must not change any target's accumulation chain. Skipped where Tile8
-// resolves nil (no assembly); the dispatch rules themselves are pinned
-// for all kernels.
-func TestCoulombTile8BitIdentical(t *testing.T) {
-	for _, k := range blockTestKernels() {
-		if _, isCoulomb := k.(Coulomb); !isCoulomb {
-			if Tile8(k) != nil {
-				t.Fatalf("Tile8(%s) resolved an 8-wide loop; only Coulomb has one", k.Name())
-			}
-		}
-	}
-	t8 := Tile8(Coulomb{})
-	if t8 == nil {
-		t.Skip("no 8-wide Coulomb tile on this machine")
-	}
-	rng := rand.New(rand.NewSource(47))
-	bk := AsBlock(Coulomb{})
-	for _, n := range tileTestSizes {
-		var tx, ty, tz [Tile8Width]float64
-		for i := range tx {
-			tx[i] = rng.Float64()*2 - 1
-			ty[i] = rng.Float64()*2 - 1
-			tz[i] = rng.Float64()*2 - 1
-		}
-		// Self terms on two lanes, one per 4-lane group.
-		sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
-		if n > 1 {
-			sx[0], sy[0], sz[0] = tx[6], ty[6], tz[6]
-		}
-
-		var phi0 [Tile8Width]float64
-		for i := range phi0 {
-			phi0[i] = rng.Float64()*2 - 1
-		}
-		want := phi0
-		for i := 0; i < Tile8Width; i++ {
-			want[i] += bk.EvalBlockAccum(tx[i], ty[i], tz[i], sx, sy, sz, q)
-		}
-		got := phi0
-		t8(&tx, &ty, &tz, sx, sy, sz, q, &got)
-		if got != want {
-			t.Fatalf("n=%d: tile8 %v != per-target block %v", n, got, want)
-		}
 	}
 }
 
@@ -357,32 +348,21 @@ func TestAsmVsGoTiles(t *testing.T) {
 	kernels := []Kernel{Coulomb{}, Yukawa{Kappa: 0.7}, Yukawa{Kappa: 0}}
 	for _, n := range tileTestSizes {
 		tx, ty, tz := tileTestTargets(rng)
-		sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
+		sx, sy, sz, q := tileTestSources(rng, n, tx[1], ty[1], tz[1])
 		var phi0 [TileWidth]float64
 		for i := range phi0 {
 			phi0[i] = rng.Float64()*2 - 1
 		}
-		var ftx, fty, ftz [F32TileWidth]float32
+		var ftx, fty, ftz [TileWidth]float32
 		for i := range ftx {
 			ftx[i] = float32(rng.Float64()*2 - 1)
 			fty[i] = float32(rng.Float64()*2 - 1)
 			ftz[i] = float32(rng.Float64()*2 - 1)
 		}
 		ftx[1], fty[1], ftz[1] = float32(tx[1]), float32(ty[1]), float32(tz[1])
-		var fphi0 [F32TileWidth]float32
+		var fphi0 [TileWidth]float32
 		for i := range fphi0 {
 			fphi0[i] = float32(rng.Float64()*2 - 1)
-		}
-
-		var tx8, ty8, tz8, phi80 [Tile8Width]float64
-		copy(tx8[:], tx[:])
-		copy(ty8[:], ty[:])
-		copy(tz8[:], tz[:])
-		copy(tx8[4:], tx[:])
-		copy(ty8[4:], ty[:])
-		copy(tz8[4:], tz[:])
-		for i := range phi80 {
-			phi80[i] = rng.Float64()*2 - 1
 		}
 
 		for _, k := range kernels {
@@ -390,11 +370,6 @@ func TestAsmVsGoTiles(t *testing.T) {
 
 			asm := phi0
 			AsTile(k).EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &asm)
-			asm8 := phi80
-			t8 := Tile8(k)
-			if t8 != nil {
-				t8(&tx8, &ty8, &tz8, sx, sy, sz, q, &asm8)
-			}
 			fasm := fphi0
 			var f32k F32Kernel
 			var f32ULP int
@@ -403,26 +378,14 @@ func TestAsmVsGoTiles(t *testing.T) {
 				f32ULP = F32TileMaxULP(fk)
 				AsF32Tile(fk).EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &fasm)
 			}
-			asmBlock := AsBlock(k).EvalBlockAccum(tx[0], ty[0], tz[0], sx, sy, sz, q)
 
-			// Same inputs through the pure-Go loops. The width-8 go
-			// reference is the per-target block loop: there is no Go
-			// 8-wide tile because regrouping cannot change the chains.
+			// Same inputs through the pure-Go loops.
 			prev := SetAsmKernels(false)
 			goPhi := phi0
 			AsTile(k).EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &goPhi)
-			go8 := phi80
-			bk := AsBlock(k)
-			for i := 0; i < Tile8Width; i++ {
-				go8[i] += bk.EvalBlockAccum(tx8[i], ty8[i], tz8[i], sx, sy, sz, q)
-			}
 			fgo := fphi0
 			if f32k != nil {
 				AsF32Tile(f32k).EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &fgo)
-			}
-			goBlock := bk.EvalBlockAccum(tx[0], ty[0], tz[0], sx, sy, sz, q)
-			if Tile8(k) != nil {
-				t.Errorf("%s: Tile8 still resolves with asm kernels disabled", k.Name())
 			}
 			SetAsmKernels(prev)
 
@@ -431,65 +394,49 @@ func TestAsmVsGoTiles(t *testing.T) {
 				absSum[i] = scalarAccumAbs(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
 			}
 			checkTilePhi(t, k.Name()+" asm-vs-go tile", n, maxULP, asm[:], goPhi[:], absSum[:])
-			if t8 != nil {
-				var absSum8 [Tile8Width]float64
-				copy(absSum8[:], absSum[:])
-				copy(absSum8[4:], absSum[:])
-				checkTilePhi(t, k.Name()+" asm-vs-go tile8", n, maxULP, asm8[:], go8[:], absSum8[:])
-			}
 			if f32k != nil {
-				var fabsSum [F32TileWidth]float32
+				var fabsSum [TileWidth]float32
 				for i := range fabsSum {
 					fabsSum[i] = scalarAccumAbsF32(f32k, ftx[i], fty[i], ftz[i], sx, sy, sz, q)
 				}
 				checkTilePhiF32(t, k.Name()+" asm-vs-go fp32 tile", n, f32ULP, fasm[:], fgo[:], fabsSum[:])
-			}
-			if asmBlock != goBlock {
-				t.Fatalf("%s n=%d: asm block head %v != go block loop %v", k.Name(), n, asmBlock, goBlock)
 			}
 		}
 	}
 }
 
 // TestAsTileResolution pins the dispatch rules: built-ins resolve to
-// themselves, foreign kernels to the generic adapter over their block
-// path, and resolving an adapter's result again is a no-op.
+// themselves, foreign kernels to the generic per-lane Eval adapter, and
+// resolving an adapter's result again is a no-op.
 func TestAsTileResolution(t *testing.T) {
-	for _, k := range blockTestKernels() {
+	for _, k := range tileTestKernels() {
 		if tk := AsTile(k); tk != k {
 			t.Errorf("AsTile(%s) wrapped a kernel that already implements TileKernel", k.Name())
 		}
 	}
 	f := Func{KernelName: "custom", F: Coulomb{}.Eval}
 	tk := AsTile(f)
-	ad, ok := tk.(tileAdapter)
-	if !ok {
+	if _, ok := tk.(tileAdapter); !ok {
 		t.Fatalf("AsTile(Func) = %T, want tileAdapter", tk)
-	}
-	if _, ok := ad.BlockKernel.(blockAdapter); !ok {
-		t.Errorf("AsTile(Func) wraps %T, want the blockAdapter fallback", ad.BlockKernel)
 	}
 	if again, ok := AsTile(tk).(tileAdapter); !ok {
 		t.Errorf("AsTile(AsTile(k)) lost the adapter")
-	} else if _, double := again.BlockKernel.(tileAdapter); double {
+	} else if _, double := again.Kernel.(tileAdapter); double {
 		t.Errorf("AsTile(AsTile(k)) double-wrapped the adapter")
 	}
 	if tk.Name() != "custom" {
 		t.Errorf("adapter name = %q, want custom", tk.Name())
-	}
-	if Tile8(f) != nil {
-		t.Errorf("Tile8(Func) resolved an 8-wide loop for a foreign kernel")
 	}
 }
 
 // TestTileKernelEmpty verifies the degenerate empty block leaves the
 // accumulated values unchanged (phi[t] += 0 at most).
 func TestTileKernelEmpty(t *testing.T) {
-	tx := [TileWidth]float64{0.1, 0.2, 0.3, 0.4}
-	for _, k := range blockTestKernels() {
-		phi := [TileWidth]float64{1, 2, 3, 4}
+	tx := [TileWidth]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	for _, k := range tileTestKernels() {
+		phi := [TileWidth]float64{1, 2, 3, 4, 5, 6, 7, 8}
 		AsTile(k).EvalTileAccum(&tx, &tx, &tx, nil, nil, nil, nil, &phi)
-		if phi != [TileWidth]float64{1, 2, 3, 4} {
+		if phi != [TileWidth]float64{1, 2, 3, 4, 5, 6, 7, 8} {
 			t.Errorf("%s: empty block changed phi to %v", k.Name(), phi)
 		}
 	}
@@ -498,14 +445,14 @@ func TestTileKernelEmpty(t *testing.T) {
 // TestCoulombTileExtremeMagnitudes sweeps coordinate scales across the
 // full binary exponent range, so s = sqrt(r2) runs from the bottom of its
 // domain (r2 subnormal) to +Inf overflow. This is the empirical pin for
-// the AVX-512 tile's Newton–Raphson reciprocal being correctly rounded —
-// hence bit-identical to the scalar 1/math.Sqrt — at every magnitude, and
-// for the masked s == +Inf lanes matching the scalar 1/Inf = +0.
+// the ZMM tile's Goldschmidt square root and Newton–Raphson reciprocal
+// being correctly rounded — hence bit-identical to the scalar
+// 1/math.Sqrt — at every magnitude, through both its fast and divider
+// patch paths, and for the masked s == +Inf lanes matching the scalar
+// 1/Inf = +0.
 func TestCoulombTileExtremeMagnitudes(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	tk := AsTile(Coulomb{})
-	bk := AsBlock(Coulomb{})
-	t8 := Tile8(Coulomb{})
 	trials := 40
 	if testing.Short() {
 		trials = 4
@@ -514,7 +461,7 @@ func TestCoulombTileExtremeMagnitudes(t *testing.T) {
 		mag := math.Ldexp(1, int(scale))
 		for trial := 0; trial < trials; trial++ {
 			n := 1 + rng.Intn(9)
-			var tx, ty, tz [Tile8Width]float64
+			var tx, ty, tz [TileWidth]float64
 			for i := range tx {
 				tx[i] = (rng.Float64()*2 - 1) * mag
 				ty[i] = (rng.Float64()*2 - 1) * mag
@@ -532,24 +479,14 @@ func TestCoulombTileExtremeMagnitudes(t *testing.T) {
 			}
 			sx[n/2], sy[n/2], sz[n/2] = tx[0], ty[0], tz[0] // self term
 
-			var want [Tile8Width]float64
-			for i := 0; i < Tile8Width; i++ {
-				want[i] = bk.EvalBlockAccum(tx[i], ty[i], tz[i], sx, sy, sz, q)
+			var want [TileWidth]float64
+			for i := 0; i < TileWidth; i++ {
+				want[i] = scalarAccum(Coulomb{}, tx[i], ty[i], tz[i], sx, sy, sz, q)
 			}
-			var got4 [TileWidth]float64
-			tx4 := [TileWidth]float64(tx[:4])
-			ty4 := [TileWidth]float64(ty[:4])
-			tz4 := [TileWidth]float64(tz[:4])
-			tk.EvalTileAccum(&tx4, &ty4, &tz4, sx, sy, sz, q, &got4)
-			if got4 != [TileWidth]float64(want[:4]) {
-				t.Fatalf("scale 2^%g n=%d: tile %v != block %v", scale, n, got4, want[:4])
-			}
-			if t8 != nil {
-				var got8 [Tile8Width]float64
-				t8(&tx, &ty, &tz, sx, sy, sz, q, &got8)
-				if got8 != want {
-					t.Fatalf("scale 2^%g n=%d: tile8 %v != block %v", scale, n, got8, want)
-				}
+			var got [TileWidth]float64
+			tk.EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &got)
+			if got != want {
+				t.Fatalf("scale 2^%g n=%d: tile %v != scalar %v", scale, n, got, want)
 			}
 		}
 	}
@@ -571,7 +508,7 @@ func TestF32TileExtremeMagnitudes(t *testing.T) {
 		mag := math.Ldexp(1, int(scale))
 		for trial := 0; trial < trials; trial++ {
 			n := 1 + rng.Intn(9)
-			var tx, ty, tz [F32TileWidth]float32
+			var tx, ty, tz [TileWidth]float32
 			for i := range tx {
 				tx[i] = float32((rng.Float64()*2 - 1) * mag)
 				ty[i] = float32((rng.Float64()*2 - 1) * mag)
@@ -591,12 +528,12 @@ func TestF32TileExtremeMagnitudes(t *testing.T) {
 
 			for _, k := range kernels {
 				maxULP := F32TileMaxULP(k)
-				var want, absSum [F32TileWidth]float32
-				for i := 0; i < F32TileWidth; i++ {
+				var want, absSum [TileWidth]float32
+				for i := 0; i < TileWidth; i++ {
 					want[i] = scalarAccumF32(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
 					absSum[i] = scalarAccumAbsF32(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
 				}
-				var got [F32TileWidth]float32
+				var got [TileWidth]float32
 				AsF32Tile(k).EvalTileAccumF32(&tx, &ty, &tz, sx, sy, sz, q, &got)
 				checkTilePhiF32(t, k.Name()+" fp32 tile @2^"+itoa(int(scale)), n, maxULP, got[:], want[:], absSum[:])
 			}
@@ -684,13 +621,13 @@ func TestYukawaTileULPContract(t *testing.T) {
 				}
 			}
 			if yukawaTileF32Loop != nil && kappa*float64(float32(d)) < 100 {
-				var ftx, fty, ftz, fwant, fgot [F32TileWidth]float32
-				for l := 0; l < F32TileWidth; l++ {
-					ftx[l] = float32(tx[l%TileWidth]) * (1 + float32(l/TileWidth)*0.25)
+				var ftx, fty, ftz, fwant, fgot [TileWidth]float32
+				for l := 0; l < TileWidth; l++ {
+					ftx[l] = float32(tx[l])
 					fwant[l] = scalarAccumF32(k, ftx[l], fty[l], ftz[l], sx, sy, sz, q)
 				}
 				k.EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &fgot)
-				for l := 0; l < F32TileWidth; l++ {
+				for l := 0; l < TileWidth; l++ {
 					if ud := ulpDiff32(fgot[l], fwant[l]); ud > maxSeen32 {
 						maxSeen32 = ud
 						if ud > YukawaTileF32MaxULP {
@@ -719,19 +656,19 @@ func FuzzTileAccum(f *testing.F) {
 		n := int(size%256) + 1
 		rng := rand.New(rand.NewSource(seed))
 		tx, ty, tz := tileTestTargets(rng)
-		sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
+		sx, sy, sz, q := tileTestSources(rng, n, tx[1], ty[1], tz[1])
 		var phi0 [TileWidth]float64
 		for i := range phi0 {
 			phi0[i] = rng.Float64()*2 - 1
 		}
-		var ftx, fty, ftz [F32TileWidth]float32
+		var ftx, fty, ftz [TileWidth]float32
 		for i := range ftx {
 			ftx[i] = float32(rng.Float64()*2 - 1)
 			fty[i] = float32(rng.Float64()*2 - 1)
 			ftz[i] = float32(rng.Float64()*2 - 1)
 		}
 		ftx[1], fty[1], ftz[1] = float32(tx[1]), float32(ty[1]), float32(tz[1])
-		for _, k := range blockTestKernels() {
+		for _, k := range tileTestKernels() {
 			maxULP := TileMaxULP(k)
 			want := phi0
 			var absSum [TileWidth]float64
@@ -742,32 +679,14 @@ func FuzzTileAccum(f *testing.F) {
 			got := phi0
 			AsTile(k).EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &got)
 			checkTilePhi(t, k.Name()+" tile", n, maxULP, got[:], want[:], absSum[:])
-			if t8 := Tile8(k); t8 != nil {
-				var tx8, ty8, tz8, phi8, want8, abs8 [Tile8Width]float64
-				for i := range tx8 {
-					tx8[i] = rng.Float64()*2 - 1
-					ty8[i] = rng.Float64()*2 - 1
-					tz8[i] = rng.Float64()*2 - 1
-					phi8[i] = rng.Float64()*2 - 1
-				}
-				tx8[5], ty8[5], tz8[5] = tx[1], ty[1], tz[1] // self term, high group
-				want8 = phi8
-				for i := 0; i < Tile8Width; i++ {
-					want8[i] += scalarAccum(k, tx8[i], ty8[i], tz8[i], sx, sy, sz, q)
-					abs8[i] = scalarAccumAbs(k, tx8[i], ty8[i], tz8[i], sx, sy, sz, q)
-				}
-				got8 := phi8
-				t8(&tx8, &ty8, &tz8, sx, sy, sz, q, &got8)
-				checkTilePhi(t, k.Name()+" tile8", n, maxULP, got8[:], want8[:], abs8[:])
-			}
 			if f32, ok := k.(F32Kernel); ok {
 				f32ULP := F32TileMaxULP(f32)
-				var fwant, fgot, fabsSum [F32TileWidth]float32
+				var fwant, fgot, fabsSum [TileWidth]float32
 				for i := range fwant {
-					fwant[i] = float32(phi0[i%TileWidth])
+					fwant[i] = float32(phi0[i])
 				}
 				fgot = fwant
-				for i := 0; i < F32TileWidth; i++ {
+				for i := 0; i < TileWidth; i++ {
 					fwant[i] += scalarAccumF32(f32, ftx[i], fty[i], ftz[i], sx, sy, sz, q)
 					fabsSum[i] = scalarAccumAbsF32(f32, ftx[i], fty[i], ftz[i], sx, sy, sz, q)
 				}
@@ -778,64 +697,34 @@ func FuzzTileAccum(f *testing.F) {
 	})
 }
 
-// BenchmarkEvalTile compares tile calls against per-target block calls
-// over the same 2000-source block — the amortization the tile path exists
-// to provide — for the Coulomb and Yukawa fp64 paths, the 8-wide
-// register-blocked Coulomb tile, and the fp32 tiles.
+// BenchmarkEvalTile times one tile call over a 2000-source block for the
+// Coulomb and Yukawa fp64 and fp32 paths.
 func BenchmarkEvalTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 2000
 	tx, ty, tz := tileTestTargets(rng)
-	sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
-	var tx8, ty8, tz8 [Tile8Width]float64
-	copy(tx8[:], tx[:])
-	copy(ty8[:], ty[:])
-	copy(tz8[:], tz[:])
-	for i := TileWidth; i < Tile8Width; i++ {
-		tx8[i] = rng.Float64()*2 - 1
-		ty8[i] = rng.Float64()*2 - 1
-		tz8[i] = rng.Float64()*2 - 1
-	}
-	var ftx, fty, ftz [F32TileWidth]float32
+	sx, sy, sz, q := tileTestSources(rng, n, tx[1], ty[1], tz[1])
+	var ftx, fty, ftz [TileWidth]float32
 	for i := range ftx {
-		ftx[i] = float32(tx8[i])
-		fty[i] = float32(ty8[i])
-		ftz[i] = float32(tz8[i])
+		ftx[i] = float32(tx[i])
+		fty[i] = float32(ty[i])
+		ftz[i] = float32(tz[i])
 	}
 	for _, k := range []Kernel{Coulomb{}, Yukawa{Kappa: 0.7}} {
 		k := k
-		b.Run(k.Name()+"/block-x4", func(b *testing.B) {
-			bk := AsBlock(k)
-			var phi [TileWidth]float64
-			b.SetBytes(4 * n * 8)
-			for i := 0; i < b.N; i++ {
-				for t := 0; t < TileWidth; t++ {
-					phi[t] += bk.EvalBlockAccum(tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-			}
-		})
 		b.Run(k.Name()+"/tile", func(b *testing.B) {
 			tk := AsTile(k)
 			var phi [TileWidth]float64
-			b.SetBytes(4 * n * 8)
+			b.SetBytes(TileWidth * n * 8)
 			for i := 0; i < b.N; i++ {
 				tk.EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &phi)
 			}
 		})
-		if t8 := Tile8(k); t8 != nil {
-			b.Run(k.Name()+"/tile8", func(b *testing.B) {
-				var phi [Tile8Width]float64
-				b.SetBytes(8 * n * 8)
-				for i := 0; i < b.N; i++ {
-					t8(&tx8, &ty8, &tz8, sx, sy, sz, q, &phi)
-				}
-			})
-		}
 		if f32, ok := k.(F32Kernel); ok {
 			b.Run(k.Name()+"/tile-f32", func(b *testing.B) {
 				tk := AsF32Tile(f32)
-				var phi [F32TileWidth]float32
-				b.SetBytes(8 * n * 8)
+				var phi [TileWidth]float32
+				b.SetBytes(TileWidth * n * 8)
 				for i := 0; i < b.N; i++ {
 					tk.EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &phi)
 				}

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// TestCoulombTile8Variants pins every 8-wide Coulomb tile implementation
-// — not just the one init() selected for this machine — against the
-// scalar block reference, bit for bit. Dispatch prefers coulombTile8ZMM
-// on AVX-512 parts, which would otherwise leave the AVX and
-// register-blocked AVX-512VL variants untested there; and the ZMM tile's
+// TestCoulombTile8Variants pins every Coulomb tile implementation — not
+// just the one init() selected for this machine — against the scalar
+// reference, bit for bit. Dispatch prefers coulombTileZMM on AVX-512
+// parts, which would otherwise leave the AVX variant untested there; and
+// the ZMM tile's
 // Goldschmidt fast path, divider patch path (r2 below 2^-512 or
 // overflowed to +Inf), and their mid-block hand-offs only differ when
 // coordinate magnitudes are driven across the exponent range, so the
@@ -24,15 +24,12 @@ func TestCoulombTile8Variants(t *testing.T) {
 	type variant struct {
 		name string
 		ok   bool
-		f    func(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q *float64, n int, phi *[Tile8Width]float64)
+		f    func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, phi *[TileWidth]float64)
 	}
-	avx512 := cpuHasAVX512VL()
 	variants := []variant{
-		{"avx", true, coulombTile8AVX},
-		{"avx512vl", avx512, coulombTile8AVX512},
-		{"zmm", avx512, coulombTile8ZMM},
+		{"avx", true, coulombTileAVX},
+		{"zmm", cpuHasAVX512VL(), coulombTileZMM},
 	}
-	bk := AsBlock(Coulomb{})
 	scales := []float64{0, -300, -500, -510, -520, -538, 300, 500, 511}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -43,25 +40,25 @@ func TestCoulombTile8Variants(t *testing.T) {
 			for _, scale := range scales {
 				mag := math.Ldexp(1, int(scale))
 				for _, n := range tileTestSizes {
-					var tx, ty, tz [Tile8Width]float64
+					var tx, ty, tz [TileWidth]float64
 					for i := range tx {
 						tx[i] = (rng.Float64()*2 - 1) * mag
 						ty[i] = (rng.Float64()*2 - 1) * mag
 						tz[i] = (rng.Float64()*2 - 1) * mag
 					}
-					sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
+					sx, sy, sz, q := tileTestSources(rng, n, tx[1], ty[1], tz[1])
 					if n > 2 {
 						// Second self term in the other 4-lane group, at an
 						// odd source index so the ZMM tile's B stream sees it.
 						sx[1], sy[1], sz[1] = tx[6], ty[6], tz[6]
 					}
-					var phi0 [Tile8Width]float64
+					var phi0 [TileWidth]float64
 					for i := range phi0 {
 						phi0[i] = rng.Float64()*2 - 1
 					}
 					want := phi0
-					for i := 0; i < Tile8Width; i++ {
-						want[i] += bk.EvalBlockAccum(tx[i], ty[i], tz[i], sx, sy, sz, q)
+					for i := 0; i < TileWidth; i++ {
+						want[i] += scalarAccum(Coulomb{}, tx[i], ty[i], tz[i], sx, sy, sz, q)
 					}
 					got := phi0
 					v.f(&tx, &ty, &tz, &sx[0], &sy[0], &sz[0], &q[0], n, &got)

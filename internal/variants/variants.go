@@ -118,7 +118,7 @@ func scatterCP(tk kernel.TileKernel, tt *tree.Tree, tcd *core.ClusterData, src *
 		wellSeparated := (t.Radius + s.Radius) < p.Theta*dist
 		if wellSeparated && np < t.Count() {
 			// CP: accumulate onto the target cluster's proxies.
-			scatterProxies(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
+			accumTiles(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
 				src.X[s.Lo:s.Hi], src.Y[s.Lo:s.Hi], src.Z[s.Lo:s.Hi], src.Q[s.Lo:s.Hi])
 			st.CPPairs++
 			st.CPInteractions += int64(np) * int64(s.Count())
@@ -137,61 +137,29 @@ func scatterCP(tk kernel.TileKernel, tt *tree.Tree, tcd *core.ClusterData, src *
 	}
 }
 
-// scatterProxies accumulates one source block into a target cluster's
-// proxy potentials dst: the proxy points are the tile targets, seeded from
-// and stored back to dst, so each proxy's add chain is exactly the
-// per-proxy block path's. The ragged tail takes the single-target path.
+// accumTiles accumulates one source block (sx, sy, sz, q) into dst, the
+// potentials at targets (tx, ty, tz)[:len(dst)] — target particles or a
+// target cluster's proxy points — through padded tiles (core.TargetTile)
+// seeded from and stored back to dst, so each target's add chain is
+// exactly the per-target scalar path's.
 //
 //hot:path
-func scatterProxies(tk kernel.TileKernel, px, py, pz, dst, sx, sy, sz, sq []float64) {
+func accumTiles(tk kernel.TileKernel, tx, ty, tz, dst, sx, sy, sz, q []float64) {
 	var t core.TargetTile
-	m := 0
-	for ; m+kernel.TileWidth <= len(dst); m += kernel.TileWidth {
-		t.LoadProxies(px, py, pz, m)
-		t.LoadPotentials(dst, m)
-		core.EvalApproxTileBlock(tk, &t, sx, sy, sz, sq)
-		t.Store(dst, m)
-	}
-	for ; m < len(dst); m++ {
-		dst[m] += tk.EvalBlockAccum(px[m], py[m], pz[m], sx, sy, sz, sq)
+	for m := 0; m < len(dst); m += kernel.TileWidth {
+		n := min(kernel.TileWidth, len(dst)-m)
+		t.Load(tx, ty, tz, m, n)
+		t.LoadPotentials(dst, m, n)
+		tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ, sx, sy, sz, q, &t.Acc)
+		t.Store(dst, m, n)
 	}
 }
 
 // directRange accumulates source particles [sLo, sHi) into targets
-// [lo, hi) through the tiled fast path, single-target tail included.
-//
-//hot:path
+// [lo, hi).
 func directRange(tk kernel.TileKernel, tg *particle.Set, lo, hi int, src *particle.Set, sLo, sHi int, phi []float64) {
-	var t core.TargetTile
-	i := lo
-	for ; i+kernel.TileWidth <= hi; i += kernel.TileWidth {
-		t.LoadParticles(tg, i)
-		t.LoadPotentials(phi, i)
-		core.EvalDirectTileBlock(tk, &t, src, sLo, sHi)
-		t.Store(phi, i)
-	}
-	for ; i < hi; i++ {
-		phi[i] += core.EvalDirectTargetBlock(tk, tg, i, src, sLo, sHi)
-	}
-}
-
-// approxRange accumulates a proxy block (source cluster's Chebyshev points
-// with modified charges) into targets [lo, hi) through the tiled fast
-// path, single-target tail included.
-//
-//hot:path
-func approxRange(tk kernel.TileKernel, tg *particle.Set, lo, hi int, px, py, pz, qhat, phi []float64) {
-	var t core.TargetTile
-	i := lo
-	for ; i+kernel.TileWidth <= hi; i += kernel.TileWidth {
-		t.LoadParticles(tg, i)
-		t.LoadPotentials(phi, i)
-		core.EvalApproxTileBlock(tk, &t, px, py, pz, qhat)
-		t.Store(phi, i)
-	}
-	for ; i < hi; i++ {
-		phi[i] += core.EvalApproxTargetBlock(tk, tg, i, px, py, pz, qhat)
-	}
+	accumTiles(tk, tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], phi[lo:hi],
+		src.X[sLo:sHi], src.Y[sLo:sHi], src.Z[sLo:sHi], src.Q[sLo:sHi])
 }
 
 // downward pushes accumulated proxy potentials from parents into children
@@ -259,19 +227,20 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 			switch {
 			case bigT && bigS:
 				// CC: proxies-to-proxies.
-				scatterProxies(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
+				accumTiles(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
 					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si])
 				res.Stats.CCPairs++
 				res.Stats.CCInteractions += int64(np) * int64(len(scd.Qhat[si]))
 			case bigS:
 				// PC: targets of t against source proxies (the BLTC form).
-				approxRange(tk, tt.Particles, t.Lo, t.Hi,
-					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si], phi)
+				tg := tt.Particles
+				accumTiles(tk, tg.X[t.Lo:t.Hi], tg.Y[t.Lo:t.Hi], tg.Z[t.Lo:t.Hi], phi[t.Lo:t.Hi],
+					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si])
 				res.Stats.PCPairs++
 				res.Stats.PCInteractions += int64(t.Count()) * int64(np)
 			case bigT:
 				// CP: target proxies against source particles.
-				scatterProxies(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
+				accumTiles(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
 					st.Particles.X[s.Lo:s.Hi], st.Particles.Y[s.Lo:s.Hi], st.Particles.Z[s.Lo:s.Hi],
 					st.Particles.Q[s.Lo:s.Hi])
 				res.Stats.CPPairs++

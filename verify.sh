@@ -2,8 +2,9 @@
 # verify.sh — the repo's tier-1 gate (see ROADMAP.md). Every PR must pass:
 #   gofmt -s (no unformatted or unsimplified files), go vet, the project's
 #   own static analysis suite (cmd/bltcvet, see docs/static-analysis.md),
-#   full build, full tests with the race detector, and a one-iteration
-#   smoke run of the tracked benchmarks so they cannot bit-rot.
+#   full build, full tests with the race detector, the benchmark module's
+#   own tests, and a one-iteration smoke run of the tracked benchmarks so
+#   they cannot bit-rot.
 set -e
 
 cd "$(dirname "$0")"
@@ -33,6 +34,13 @@ echo "go build: ok"
 
 go test -race ./...
 echo "go test -race: ok"
+
+# The benchmark module (perfbench/, its own go.mod, so `go test ./...`
+# above never reaches it): a tiny-size run of every workload through its
+# gates — served potentials byte-identical to Plan.Solve, the traced
+# composition bit-identical to the entry points, Eq. 16 error in class.
+(cd perfbench && go test -count=1 .)
+echo "perfbench tests: ok"
 
 # Daemon smoke: start bltcd in-process, create a plan, run one solve
 # through the full HTTP path, verify the potentials bit-for-bit against

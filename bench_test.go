@@ -351,16 +351,26 @@ func BenchmarkClusterData50k(b *testing.B) {
 
 // BenchmarkModifiedCharges measures the charge pass alone on a fixed
 // layout (grid construction is BenchmarkClusterData50k); in steady state
-// the pass reuses pooled scratch and the q-hat arena, so B/op is ~0.
+// the pass reuses pooled scratch and the q-hat arena, so B/op is ~0. It
+// also reports ns/point, the time per particle·Chebyshev-point product
+// (Σ nc·(n+1)³ over nodes) — the work-normalized unit perfbench reports
+// as charges.ns_per_point.
 func BenchmarkModifiedCharges(b *testing.B) {
+	const degree = 8
 	pts := barytree.UniformCube(50_000, 2)
 	t := tree.Build(pts, 2000)
-	cd := core.NewClusterData(t, 8)
+	cd := core.NewClusterData(t, degree)
+	var points float64
+	for i := range t.Nodes {
+		points += float64(t.Nodes[i].Count())
+	}
+	points *= (degree + 1) * (degree + 1) * (degree + 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cd.ComputeCharges(t, 0)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(points*float64(b.N)), "ns/point")
 }
 
 func BenchmarkTreecodeCPU50k(b *testing.B) {

@@ -143,7 +143,9 @@ func chargeWork(n, nc int) (pass1, pass2 float64) {
 // cluster that worker processes without allocating in the hot loop. Rows
 // are fully overwritten by pass 1 before pass 2 reads them, so no clearing
 // between clusters is needed. Distinct particles touch disjoint rows, which
-// keeps concurrent pass-1 block functions of one device launch race-free.
+// keeps concurrent pass-1 block functions of one device launch race-free;
+// concurrent pass-2 slab blocks only read the scratch and write disjoint
+// q-hat ranges, so they are race-free too.
 type chargeScratch struct {
 	tx, ty, tz []float64
 	qt         []float64
@@ -218,23 +220,47 @@ func barycentricFactorsInto(g chebyshev.Grid1D, x float64, t []float64) (d float
 	return d
 }
 
-// pass2Point computes the modified charge q-hat at the flat-index-`block`
-// Chebyshev point of node ni from the intermediate quantities
-// (equation (15)), mirroring one thread block of the second preprocessing
-// kernel (threads over particles, reduction at the end).
+// chargeChunk is the number of particles pass 2 streams per chunk: 64
+// scratch rows of tx/ty/tz plus the node's q-hat stay L1-resident at the
+// paper's degrees, so each chunk is read from beyond L1 once per pass
+// instead of once per Chebyshev point.
+const chargeChunk = 64
+
+// pass2Slabs computes the modified charges q-hat (equation (15)) of the
+// k1-slabs [k1lo, k1hi) of node's Chebyshev grid — flat indices
+// [k1lo*m*m, k1hi*m*m) of qhat — from the intermediate quantities in s.
+// The host pass runs it over [0, m); the simulated device runs one slab per
+// functional block.
+//
+// The loop is particle-chunked: for each chunk, every (k1, k2) row of the
+// slab accumulates the chunk's particles in ascending j, hoisting tx*ty
+// out of the k3 loop. Each output still starts from +0 and adds the same
+// left-associated term ((tx*ty)*tz)*qt for ascending j as a per-point
+// reduction would, so q-hat is bit-identical to it; only the order in
+// which different outputs advance changes.
 //
 //hot:path
-func (cd *ClusterData) pass2Point(s *chargeScratch, block int, qhat []float64) {
+func (cd *ClusterData) pass2Slabs(s *chargeScratch, k1lo, k1hi int, qhat []float64) {
 	m := cd.Degree + 1
-	k3 := block % m
-	k2 := (block / m) % m
-	k1 := block / (m * m)
-	var sum float64
-	for j := range s.qt {
-		row := j * m
-		sum += s.tx[row+k1] * s.ty[row+k2] * s.tz[row+k3] * s.qt[j]
+	clear(qhat[k1lo*m*m : k1hi*m*m])
+	nc := len(s.qt)
+	for j0 := 0; j0 < nc; j0 += chargeChunk {
+		j1 := min(j0+chargeChunk, nc)
+		for k1 := k1lo; k1 < k1hi; k1++ {
+			for k2 := 0; k2 < m; k2++ {
+				out := qhat[(k1*m+k2)*m : (k1*m+k2+1)*m]
+				for j := j0; j < j1; j++ {
+					row := j * m
+					a := s.tx[row+k1] * s.ty[row+k2]
+					qt := s.qt[j]
+					tz := s.tz[row : row+m]
+					for k3 := range out {
+						out[k3] += a * tz[k3] * qt
+					}
+				}
+			}
+		}
 	}
-	qhat[block] = sum
 }
 
 // computeChargesNodeInto runs both host passes for node ni with charges q
@@ -250,10 +276,7 @@ func (cd *ClusterData) computeChargesNodeInto(src *particle.Set, q []float64, nd
 	for j := 0; j < nc; j++ {
 		cd.pass1Particle(src, q, nd, ni, j, s)
 	}
-	np := cd.Grids[ni].NumPoints()
-	for b := 0; b < np; b++ {
-		cd.pass2Point(s, b, qhat)
-	}
+	cd.pass2Slabs(s, 0, cd.Degree+1, qhat)
 }
 
 // computeChargesNode fills Qhat[ni] on the host (both passes, serial),
@@ -266,11 +289,11 @@ func (cd *ClusterData) computeChargesNode(src *particle.Set, nd *tree.Node, ni i
 }
 
 // ComputeCharges fills the modified charges of every cluster on the host
-// using up to `workers` goroutines (workers <= 0 selects a sensible
-// default). Each worker reuses one flat scratch buffer across its clusters
-// and writes into the modified-charge arena, so a steady-state pass
-// allocates nothing. It returns the total modeled flop-equivalents of the
-// work.
+// using up to `workers` goroutines (workers <= 0 selects GOMAXPROCS, as
+// pool.Workers does). Each worker reuses one flat scratch buffer across
+// its clusters and writes into the modified-charge arena, so a
+// steady-state pass allocates nothing. It returns the total modeled
+// flop-equivalents of the work.
 func (cd *ClusterData) ComputeCharges(t *tree.Tree, workers int) float64 {
 	flops := cd.TotalChargeWork(t)
 	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"barytree/internal/chebyshev"
+	"barytree/internal/device"
 	"barytree/internal/kernel"
+	"barytree/internal/perfmodel"
 	"barytree/internal/tree"
 )
 
@@ -66,28 +69,94 @@ func referenceCharges(cd *ClusterData, t *tree.Tree) [][]float64 {
 	return out
 }
 
-// TestComputeChargesMatchesReference verifies the flat-scratch charge pass
-// is bit-identical to the allocating reference, for serial and parallel
-// worker counts (scratch reuse across clusters must not leak state between
-// them).
+// TestComputeChargesMatchesReference verifies every charge-pass entry point
+// is bit-identical to the allocating reference: the host pass
+// (ComputeCharges) and the per-request pass (ChargeState.Compute) at
+// serial and parallel worker counts — scratch reuse across clusters must
+// not leak state between them — and the simulated device's functional
+// LaunchChargeKernels at one and several device workers. The geometries
+// give clusters of 1 particle, of fewer than, exactly and one more than
+// chargeChunk particles, and a multi-level tree whose root holds over
+// 2000, so the particle-chunked pass 2 runs with no full chunk, exactly
+// one, a one-particle tail and many chunks; the degrees span 1 through 13.
+// Every value is compared with ==.
 func TestComputeChargesMatchesReference(t *testing.T) {
-	src := testParticles(t, 4000, 17)
-	tr := tree.Build(src, 60)
-	for _, workers := range []int{1, 3, 0} {
-		cd := NewClusterData(tr, 4)
-		cd.ComputeCharges(tr, workers)
-		want := referenceCharges(cd, tr)
-		for ni := range tr.Nodes {
-			if len(cd.Qhat[ni]) != len(want[ni]) {
-				t.Fatalf("workers=%d node %d: qhat length %d, want %d",
-					workers, ni, len(cd.Qhat[ni]), len(want[ni]))
-			}
-			for b, v := range cd.Qhat[ni] {
-				if v != want[ni][b] {
-					t.Fatalf("workers=%d node %d point %d: qhat = %v, want %v (diff %g)",
-						workers, ni, b, v, want[ni][b], v-want[ni][b])
+	geoms := []struct {
+		name   string
+		n      int
+		leaf   int
+		seed   int64
+		minTop int // the root must hold at least this many particles
+	}{
+		{"single", 1, 1, 11, 1},
+		{"below-chunk", chargeChunk - 1, chargeChunk - 1, 12, chargeChunk - 1},
+		{"one-chunk", chargeChunk, chargeChunk, 13, chargeChunk},
+		{"chunk-plus-one", chargeChunk + 1, chargeChunk + 1, 14, chargeChunk + 1},
+		{"tree", 2100, 60, 17, 2000},
+	}
+	for _, g := range geoms {
+		src := testParticles(t, g.n, g.seed)
+		for _, degree := range []int{1, 2, 5, 8, 13} {
+			t.Run(fmt.Sprintf("%s/n=%d", g.name, degree), func(t *testing.T) {
+				p := Params{Theta: 0.8, Degree: degree, LeafSize: g.leaf, BatchSize: g.leaf}
+				pl, err := NewPlan(src, src, p)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				tr := pl.Sources
+				if c := tr.Nodes[0].Count(); c < g.minTop {
+					t.Fatalf("root holds %d particles, want >= %d", c, g.minTop)
+				}
+				cd := pl.Clusters
+				want := referenceCharges(cd, tr)
+				check := func(path string, got [][]float64) {
+					t.Helper()
+					for ni := range tr.Nodes {
+						if len(got[ni]) != len(want[ni]) {
+							t.Fatalf("%s node %d: qhat length %d, want %d",
+								path, ni, len(got[ni]), len(want[ni]))
+						}
+						for b, v := range got[ni] {
+							if v != want[ni][b] {
+								t.Fatalf("%s node %d point %d: qhat = %v, want %v (diff %g)",
+									path, ni, b, v, want[ni][b], v-want[ni][b])
+							}
+						}
+					}
+				}
+				// Poisoning every slot with NaN first makes a fill that
+				// skips an output fail instead of reading a prior fill's bits.
+				poison := func(q []float64) {
+					for b := range q {
+						q[b] = math.NaN()
+					}
+				}
+				poisonPlan := func() {
+					for ni := range tr.Nodes {
+						poison(cd.qhatSlot(ni))
+						cd.Qhat[ni] = nil
+					}
+				}
+				for _, workers := range []int{1, 3, 0} {
+					poisonPlan()
+					cd.ComputeCharges(tr, workers)
+					check(fmt.Sprintf("ComputeCharges workers=%d", workers), cd.Qhat)
+
+					st := NewChargeState(pl)
+					for _, q := range st.Qhat {
+						poison(q)
+					}
+					st.Compute(pl, workers)
+					check(fmt.Sprintf("ChargeState.Compute workers=%d", workers), st.Qhat)
+				}
+				for _, devWorkers := range []int{1, 4} {
+					poisonPlan()
+					var hc perfmodel.Clock
+					dev := device.New(perfmodel.TitanV(), devWorkers)
+					LaunchChargeKernels(cd, tr, dev, &hc, 0, 0, false)
+					check(fmt.Sprintf("LaunchChargeKernels device workers=%d", devWorkers), cd.Qhat)
+				}
+			})
 		}
 	}
 }

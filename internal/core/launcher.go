@@ -167,8 +167,12 @@ func (l *Launcher) launchTiles(spec device.LaunchSpec, submit float64, tg *parti
 // of the source tree (Section 3.2): kernel 1 computes the intermediate
 // quantities with one block per particle and threads over the degree;
 // kernel 2 computes each modified charge with one block per Chebyshev
-// point and threads over the particles. In model-only mode the launches
-// are recorded for timing but Qhat stays nil.
+// point and threads over the particles. That is the modeled geometry of
+// both launches. Kernel 2's functional grid is coarser: its m = n+1
+// host blocks each fill one k1-slab of q-hat with pass2Slabs, the same
+// particle-chunked body as the host pass, so device and host q-hat are
+// bit-identical. In model-only mode the launches are recorded for timing
+// but Qhat stays nil.
 func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 	hc *perfmodel.Clock, dataReady float64, streams int, modelOnly bool) {
 
@@ -181,7 +185,8 @@ func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 	// One flat scratch serves every node: functional execution of a launch
 	// is synchronous, so pass 1 and pass 2 of a node complete before the
 	// next node's launches reuse the buffers. Concurrent blocks of one
-	// pass-1 launch write disjoint scratch rows.
+	// pass-1 launch write disjoint scratch rows; concurrent slab blocks of
+	// one pass-2 launch write disjoint q-hat ranges.
 	scratch := scratchPool.Get().(*chargeScratch)
 	defer scratchPool.Put(scratch)
 	for ni := range t.Nodes {
@@ -199,8 +204,8 @@ func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 			fn1 = func(block int) {
 				cd.pass1Particle(t.Particles, t.Particles.Q, nd, ni, block, scratch)
 			}
-			fn2 = func(block int) {
-				cd.pass2Point(scratch, block, qhat)
+			fn2 = func(k1 int) {
+				cd.pass2Slabs(scratch, k1, k1+1, qhat)
 			}
 		}
 
@@ -216,13 +221,13 @@ func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 
 		np := cd.Grids[ni].NumPoints()
 		hc.Advance(dev.Spec.LaunchOverheadHost)
-		dev.Launch(device.LaunchSpec{
+		dev.LaunchBlocks(device.LaunchSpec{
 			Stream: launch % streams,
 			Grid:   np,
 			Block:  min(nc, 1024),
 			FlopEq: p2,
 			Label:  "charges.pass2",
-		}, math.Max(hc.Now(), dataReady), fn2)
+		}, math.Max(hc.Now(), dataReady), m, fn2)
 		launch++
 		if !modelOnly {
 			cd.Qhat[ni] = qhat

@@ -83,7 +83,7 @@ func (st *ChargeState) SetCharges(pl *Plan, q []float64) error {
 }
 
 // Compute fills the modified charges for the current Q using up to
-// `workers` goroutines (<= 0 selects a sensible default), exactly as
+// `workers` goroutines (<= 0 selects GOMAXPROCS), exactly as
 // ClusterData.ComputeCharges does for the plan's own charges: same passes,
 // same per-node operation order, so equal charges yield bit-identical
 // modified charges. It returns the modeled flop-equivalents of the work,

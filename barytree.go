@@ -332,9 +332,11 @@ type FieldResult struct {
 
 // SolveWithField computes potentials *and* their gradients with the
 // treecode on the CPU backend. The kernel must provide an analytic
-// gradient (all built-in kernels except Yukawa's fp32 path do); gradients
-// reuse the same modified charges as the potential, since the barycentric
-// approximation interpolates in the source variable only:
+// gradient: every built-in kernel constructor (Coulomb, Yukawa, Gaussian,
+// Multiquadric, RegularizedCoulomb) does, a KernelFunc does not and gets
+// an error. Gradients reuse the same modified charges as the potential,
+// since the barycentric approximation interpolates in the source variable
+// only:
 //
 //	grad phi(x) ~= sum_k grad_x G(x, s_k) qhat_k.
 //

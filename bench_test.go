@@ -567,6 +567,35 @@ func BenchmarkPlanSolve50k(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveWithField10k measures the stepping path's force
+// evaluation: Plan.SolveWithField (charge pass plus the tiled gradient
+// walk) on a 10k Plummer Morton plan with the nbody-leapfrog parameters
+// (θ=0.6, n=6, NL=NB=300) and the regularized Coulomb kernel, ε=0.05. It
+// reports ns per interaction (direct plus approx pairs of the plan).
+func BenchmarkSolveWithField10k(b *testing.B) {
+	pts := barytree.PlummerSphere(10_000, 1.0, 5)
+	p := barytree.Params{Theta: 0.6, Degree: 6, LeafSize: 300, BatchSize: 300, Morton: true}
+	pl, err := barytree.NewPlan(pts, pts, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The same build on the internal plan gives the interaction count.
+	cp, err := core.NewPlan(pts, pts, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := barytree.RegularizedCoulomb(0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.SolveWithField(k, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	interactions := float64(cp.Lists.Stats.TotalInteractions())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(interactions*float64(b.N)), "ns/interaction")
+}
+
 // BenchmarkServeSolve20k measures one solve through the full daemon path
 // — HTTP round-trip, JSON decode/encode of charges and potentials,
 // admission, coalescing queue, cached plan — at a size where the serving

@@ -47,7 +47,8 @@ func EvalApproxTarget(k kernel.Kernel, tg *particle.Set, ti int, px, py, pz, qha
 // block on an interaction list, so the source arrays stream once per tile
 // instead of once per target (the paper's thread-block-of-targets layout
 // on the host). Drivers call the resolved kernel.TileKernel's
-// EvalTileAccum on TX/TY/TZ/Acc directly; each call adds one block total
+// EvalTileAccum on TX/TY/TZ/Acc directly (the field path calls
+// kernel.EvalGradTileAccum with Acc as phi); each call adds one block total
 // per target, so loading Acc from phi, running the list, and storing back
 // reproduces the per-target "phi[ti] += block" add chain of the scalar
 // reference bit-for-bit (up to the kernel's kernel.TileMaxULP contract).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"barytree/internal/kernel"
-	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
 	"barytree/internal/pool"
 )
@@ -13,45 +12,6 @@ type FieldResult struct {
 	Phi        []float64
 	GX, GY, GZ []float64 // gradient of phi at each target
 	Times      perfmodel.PhaseTimes
-}
-
-// EvalDirectFieldTarget accumulates the potential and its gradient at one
-// target due to direct summation over sources [cLo, cHi), with the sources'
-// own charges.
-func EvalDirectFieldTarget(k kernel.GradKernel, tg *particle.Set, ti int, src *particle.Set, cLo, cHi int) (phi, gx, gy, gz float64) {
-	return EvalDirectFieldTargetQ(k, tg, ti, src, src.Q, cLo, cHi)
-}
-
-// EvalDirectFieldTargetQ is EvalDirectFieldTarget with explicit charges q
-// (tree order) — the plan's own or a ChargeState's; the arithmetic is
-// identical, so equal charges yield bit-identical sums.
-func EvalDirectFieldTargetQ(k kernel.GradKernel, tg *particle.Set, ti int, src *particle.Set, q []float64, cLo, cHi int) (phi, gx, gy, gz float64) {
-	tx, ty, tz := tg.X[ti], tg.Y[ti], tg.Z[ti]
-	for j := cLo; j < cHi; j++ {
-		g, dx, dy, dz := k.EvalGrad(tx, ty, tz, src.X[j], src.Y[j], src.Z[j])
-		qq := q[j]
-		phi += g * qq
-		gx += dx * qq
-		gy += dy * qq
-		gz += dz * qq
-	}
-	return phi, gx, gy, gz
-}
-
-// EvalApproxFieldTarget accumulates the potential and gradient at one
-// target due to a cluster's Chebyshev proxies: the same direct-sum shape
-// as the potential-only kernel, with gradient evaluations of G.
-func EvalApproxFieldTarget(k kernel.GradKernel, tg *particle.Set, ti int, px, py, pz, qhat []float64) (phi, gx, gy, gz float64) {
-	tx, ty, tz := tg.X[ti], tg.Y[ti], tg.Z[ti]
-	for j := range qhat {
-		g, dx, dy, dz := k.EvalGrad(tx, ty, tz, px[j], py[j], pz[j])
-		q := qhat[j]
-		phi += g * q
-		gx += dx * q
-		gy += dy * q
-		gz += dz * q
-	}
-	return phi, gx, gy, gz
 }
 
 // RunCPUFields evaluates potentials and gradients for the plan on the CPU
@@ -72,7 +32,9 @@ func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
 	gx := make([]float64, n)
 	gy := make([]float64, n)
 	gz := make([]float64, n)
-	runFieldsBatches(pl, k, pl.Sources.Particles.Q, pl.Clusters.Qhat, phi, gx, gy, gz, opt.Workers)
+	pool.For(len(pl.Batches.Batches), opt.Workers, func(bi int) {
+		evalBatchFields(pl, k, bi, pl.Sources.Particles.Q, pl.Clusters.Qhat, phi, gx, gy, gz)
+	})
 	res.Times[perfmodel.PhaseCompute] =
 		float64(pl.Lists.Stats.TotalInteractions()) * (kernel.GradCost(k, kernel.ArchCPU) + 8) / rate
 
@@ -87,38 +49,52 @@ func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
 	return res
 }
 
-// runFieldsBatches walks every batch's interaction list accumulating
-// potentials and gradients into phi/gx/gy/gz (batch target order), with
-// charges q and modified charges qhat — the plan's own (RunCPUFields) or a
-// ChargeState's (RunFieldsState). The loop structure and per-target add
-// order are identical for both, so equal charges yield byte-identical
-// fields.
-func runFieldsBatches(pl *Plan, k kernel.GradKernel, q []float64, qhat [][]float64, phi, gx, gy, gz []float64, workers int) {
+// evalBatchFields is the field-path twin of evalBatchLists: it
+// accumulates batch bi's full interaction list into phi, gx, gy and gz
+// (batch target order) one padded TargetTile at a time. The tile's Acc
+// carries phi and the three lanes of grad carry the gradient; all four are
+// seeded from the outputs, walk the direct list and then the approx list
+// through kernel.EvalGradTileAccum (one block total per entry), and store
+// back only the real lanes. Per target that is the "out[ti] += block"
+// chain of the per-target reference in list order, so every output is
+// bit-identical to it. The padded lanes of grad keep whatever they held;
+// they are never stored.
+//
+// q and qhat supply the source charges (tree order) and per-node modified
+// charges: the plan's own (RunCPUFields) or a ChargeState's
+// (RunFieldsState). Both are only read, so concurrent calls with disjoint
+// outputs are safe.
+//
+//hot:path
+func evalBatchFields(pl *Plan, k kernel.GradKernel, bi int, q []float64, qhat [][]float64, phi, gx, gy, gz []float64) {
+	b := &pl.Batches.Batches[bi]
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
-	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		b := &pl.Batches.Batches[bi]
-		for _, ci := range pl.Lists.Direct[bi] {
+	direct, approx := pl.Lists.Direct[bi], pl.Lists.Approx[bi]
+
+	var t TargetTile
+	var grad [3][kernel.TileWidth]float64 // gx, gy, gz lanes: one array, so one escaping object
+	for ti := b.Lo; ti < b.Hi; ti += kernel.TileWidth {
+		n := min(kernel.TileWidth, b.Hi-ti)
+		t.Load(tg.X, tg.Y, tg.Z, ti, n)
+		t.LoadPotentials(phi, ti, n)
+		copy(grad[0][:n], gx[ti:ti+n])
+		copy(grad[1][:n], gy[ti:ti+n])
+		copy(grad[2][:n], gz[ti:ti+n])
+		for _, ci := range direct {
 			nd := &pl.Sources.Nodes[ci]
-			for ti := b.Lo; ti < b.Hi; ti++ {
-				p, x, y, z := EvalDirectFieldTargetQ(k, tg, ti, src, q, nd.Lo, nd.Hi)
-				phi[ti] += p
-				gx[ti] += x
-				gy[ti] += y
-				gz[ti] += z
-			}
+			kernel.EvalGradTileAccum(k, &t.TX, &t.TY, &t.TZ,
+				src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], q[nd.Lo:nd.Hi], &t.Acc, &grad[0], &grad[1], &grad[2])
 		}
-		for _, ci := range pl.Lists.Approx[bi] {
-			for ti := b.Lo; ti < b.Hi; ti++ {
-				p, x, y, z := EvalApproxFieldTarget(k, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
-				phi[ti] += p
-				gx[ti] += x
-				gy[ti] += y
-				gz[ti] += z
-			}
+		for _, ci := range approx {
+			kernel.EvalGradTileAccum(k, &t.TX, &t.TY, &t.TZ, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci], &t.Acc, &grad[0], &grad[1], &grad[2])
 		}
-	})
+		t.Store(phi, ti, n)
+		copy(gx[ti:ti+n], grad[0][:n])
+		copy(gy[ti:ti+n], grad[1][:n])
+		copy(gz[ti:ti+n], grad[2][:n])
+	}
 }
 
 // RunFieldsState evaluates potentials and gradients against a ChargeState's
@@ -128,5 +104,7 @@ func runFieldsBatches(pl *Plan, k kernel.GradKernel, q []float64, qhat [][]float
 // RunCPUFields' compute pass for equal charges.
 func RunFieldsState(pl *Plan, k kernel.GradKernel, st *ChargeState, phi, gx, gy, gz []float64, workers int) {
 	st.checkGen(pl)
-	runFieldsBatches(pl, k, st.Q, st.Qhat, phi, gx, gy, gz, workers)
+	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
+		evalBatchFields(pl, k, bi, st.Q, st.Qhat, phi, gx, gy, gz)
+	})
 }

@@ -46,21 +46,39 @@ func TestFieldsYukawa(t *testing.T) {
 }
 
 func TestFieldPhiMatchesPotentialOnlyPath(t *testing.T) {
-	// The potential computed by the field path must agree closely with
-	// the potential-only path (same lists, same charges; the only
-	// difference is evaluation order within a target's accumulation).
+	// The field path's potential walks the same lists with the same
+	// charges and the same per-target add order as the potential-only
+	// path, and EvalGrad's value is Eval's expression, so for the exact
+	// tiles the potentials are identical. Yukawa's potential tile runs
+	// under the YukawaTileMaxULP contract while its gradient tile runs
+	// math.Exp, so it keeps a relative-error bound.
 	pts := testParticles(t, 2000, 23)
-	k := kernel.Coulomb{}
 	p := Params{Theta: 0.7, Degree: 5, LeafSize: 100, BatchSize: 100}
-	pl1, err := NewPlan(pts, pts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	potOnly := RunCPU(pl1, k, CPUOptions{})
-	pl2, _ := NewPlan(pts, pts, p)
-	fields := RunCPUFields(pl2, k, CPUOptions{})
-	if e := metrics.RelErr2(potOnly.Phi, fields.Phi); e > 1e-14 {
-		t.Errorf("field-path potential deviates: %.3g", e)
+	for _, k := range []kernel.GradKernel{
+		kernel.Coulomb{},
+		kernel.RegularizedCoulomb{Eps: 0.05},
+		kernel.Gaussian{Sigma: 0.7},
+		kernel.Multiquadric{C: 0.3},
+		kernel.Yukawa{Kappa: 0.5},
+	} {
+		pl1, err := NewPlan(pts, pts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		potOnly := RunCPU(pl1, k, CPUOptions{})
+		pl2, _ := NewPlan(pts, pts, p)
+		fields := RunCPUFields(pl2, k, CPUOptions{})
+		if _, ok := k.(kernel.Yukawa); ok {
+			if e := metrics.RelErr2(potOnly.Phi, fields.Phi); e > 1e-14 {
+				t.Errorf("%s: field-path potential deviates: %.3g", k.Name(), e)
+			}
+			continue
+		}
+		for i := range potOnly.Phi {
+			if fields.Phi[i] != potOnly.Phi[i] {
+				t.Fatalf("%s target %d: field-path potential %v != potential-only %v", k.Name(), i, fields.Phi[i], potOnly.Phi[i])
+			}
+		}
 	}
 }
 

@@ -85,3 +85,48 @@ func GradCost(k Kernel, arch Arch) float64 {
 	c := costs(arch)
 	return k.Cost(arch) + 6 + c.div
 }
+
+// regularizedCoulombGradLoop, when non-nil, evaluates a whole
+// RegularizedCoulomb gradient tile with the targets packed across SIMD
+// lanes: per-lane IEEE twins of EvalGrad's operations in its expression
+// order (never FMA) and per-lane source-order accumulation, so every
+// output is bit-identical to the reference loop of EvalGradTileAccum (see
+// tile_amd64.s). e2 is Eps*Eps, hoisted. Nil on architectures without an
+// implementation, on x86 CPUs without AVX, and under SetAsmKernels(false).
+var regularizedCoulombGradLoop func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz *[TileWidth]float64)
+
+// EvalGradTileAccum is the gradient counterpart of TileKernel.EvalTileAccum:
+// one call evaluates a block of sources against a tile of TileWidth
+// targets and adds each target's charge-weighted potential and gradient
+// into phi, gx, gy and gz. Its contract is the reference loop below: per
+// lane, four chains start at +0, accumulate g*q[j] and (dG/dx_i)*q[j] from
+// k.EvalGrad in source order, and each block total is added once into its
+// output. RegularizedCoulomb runs the installed assembly tile when there
+// is one, bit-identical to that loop; every other kernel runs the loop.
+//
+//hot:path
+func EvalGradTileAccum(k GradKernel, tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi, gx, gy, gz *[TileWidth]float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	// An empty block still adds +0 to every output (turning a -0 into +0),
+	// so it takes the loop, not the assembly.
+	if rk, ok := k.(RegularizedCoulomb); ok && regularizedCoulombGradLoop != nil && len(q) > 0 {
+		regularizedCoulombGradLoop(tx, ty, tz, sx, sy, sz, q, rk.Eps*rk.Eps, phi, gx, gy, gz)
+		return
+	}
+	for t := range phi {
+		var p, x, y, z float64
+		for j := range q {
+			g, dx, dy, dz := k.EvalGrad(tx[t], ty[t], tz[t], sx[j], sy[j], sz[j])
+			qj := q[j]
+			p += g * qj
+			x += dx * qj
+			y += dy * qj
+			z += dz * qj
+		}
+		phi[t] += p
+		gx[t] += x
+		gy[t] += y
+		gz[t] += z
+	}
+}

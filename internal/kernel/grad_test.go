@@ -98,3 +98,99 @@ func TestGradCostExceedsBase(t *testing.T) {
 		}
 	}
 }
+
+// gradTile is one call's worth of EvalGradTileAccum outputs.
+type gradTile [4][TileWidth]float64
+
+func (o *gradTile) eval(k GradKernel, tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64) {
+	EvalGradTileAccum(k, tx, ty, tz, sx, sy, sz, q, &o[0], &o[1], &o[2], &o[3])
+}
+
+// TestRegularizedCoulombGradTileBitIdentical pins the installed
+// RegularizedCoulomb gradient tile against EvalGradTileAccum's reference
+// loop (assembly off) with Float64bits equality on all four outputs.
+// Targets and sources sweep the exponent range (so d2 underflows,
+// overflows to +Inf, or is dominated by Eps*Eps), blocks hold 1-17
+// sources with coincident points in both half tiles, and the outputs start
+// nonzero so the single add of each block total is checked. At Eps = 0 a
+// coincident pair makes the scalar result NaN, whose sign and payload are
+// unspecified, so there only NaN-ness is compared.
+func TestRegularizedCoulombGradTileBitIdentical(t *testing.T) {
+	if !AsmKernelsAvailable() {
+		t.Skip("no assembly kernels on this machine")
+	}
+	rng := rand.New(rand.NewSource(61))
+	for _, eps := range []float64{0.05, 1e-3, 0} {
+		k := RegularizedCoulomb{Eps: eps}
+		for _, scale := range []int{0, -300, -500, -510, -520, -538, 300, 500, 511} {
+			mag := math.Ldexp(1, scale)
+			for n := 1; n <= 17; n++ {
+				var tx, ty, tz [TileWidth]float64
+				for i := range tx {
+					tx[i] = (rng.Float64()*2 - 1) * mag
+					ty[i] = (rng.Float64()*2 - 1) * mag
+					tz[i] = (rng.Float64()*2 - 1) * mag
+				}
+				sx, sy, sz, q := tileTestSources(rng, n, tx[1], ty[1], tz[1])
+				for j := range sx {
+					if j != n/2 {
+						sx[j], sy[j], sz[j] = sx[j]*mag, sy[j]*mag, sz[j]*mag
+					}
+				}
+				if n > 2 {
+					sx[1], sy[1], sz[1] = tx[6], ty[6], tz[6] // self term in the other half
+				}
+				var start gradTile
+				for o := range start {
+					for i := range start[o] {
+						start[o][i] = rng.Float64()*2 - 1
+					}
+				}
+				got, want := start, start
+				got.eval(k, &tx, &ty, &tz, sx, sy, sz, q)
+				prev := SetAsmKernels(false)
+				want.eval(k, &tx, &ty, &tz, sx, sy, sz, q)
+				SetAsmKernels(prev)
+				for o := range got {
+					for i := range got[o] {
+						g, w := got[o][i], want[o][i]
+						if math.Float64bits(g) == math.Float64bits(w) || (eps == 0 && math.IsNaN(g) && math.IsNaN(w)) {
+							continue
+						}
+						t.Fatalf("eps=%g scale=2^%d n=%d output %d lane %d: asm %v != reference %v", eps, scale, n, o, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvalGradTileAccumEmpty pins empty source blocks: every kernel, in
+// both dispatch modes, adds +0 to each output, so a -0 output becomes +0
+// and nothing else changes.
+func TestEvalGradTileAccumEmpty(t *testing.T) {
+	var tx, ty, tz [TileWidth]float64
+	forEachAsmMode(func(mode string) {
+		for _, k := range gradKernels() {
+			var out gradTile
+			for o := range out {
+				for i := range out[o] {
+					out[o][i] = math.Copysign(0, -1)
+				}
+			}
+			out[1][3] = 2.5
+			out.eval(k, &tx, &ty, &tz, nil, nil, nil, nil)
+			for o := range out {
+				for i, v := range out[o] {
+					want := 0.0
+					if o == 1 && i == 3 {
+						want = 2.5
+					}
+					if math.Float64bits(v) != math.Float64bits(want) {
+						t.Errorf("%s %s: output %d lane %d = %v (bits %#x), want %v", mode, k.Name(), o, i, v, math.Float64bits(v), want)
+					}
+				}
+			}
+		}
+	})
+}

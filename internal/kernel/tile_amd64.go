@@ -46,6 +46,14 @@ func coulombTileF32AVX2(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q *float64, 
 //go:noescape
 func yukawaTileF32FMA(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q *float64, n int, negKappa float32, phi *[TileWidth]float32)
 
+// regularizedCoulombGradAVX evaluates a RegularizedCoulomb gradient block
+// against four targets, bit-identical to the reference loop of
+// EvalGradTileAccum; the installed gradient tile calls it on each half.
+// Requires AVX. e2 is Eps*Eps. See tile_amd64.s.
+//
+//go:noescape
+func regularizedCoulombGradAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[4]float64)
+
 // cpuHasAVX512VL reports AVX512F+VL support with full OS state saving.
 // Implemented in tile_amd64.s.
 func cpuHasAVX512VL() bool
@@ -75,6 +83,7 @@ func init() {
 	asmInstall = func(on bool) {
 		if !on {
 			coulombTileLoop = nil
+			regularizedCoulombGradLoop = nil
 			yukawaTileLoop = nil
 			coulombTileF32Loop = nil
 			yukawaTileF32Loop = nil
@@ -88,6 +97,12 @@ func init() {
 		}
 		coulombTileLoop = func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
 			tile(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), phi)
+		}
+		regularizedCoulombGradLoop = func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz *[TileWidth]float64) {
+			for h := 0; h < TileWidth; h += 4 {
+				regularizedCoulombGradAVX(half(tx, h), half(ty, h), half(tz, h), &sx[0], &sy[0], &sz[0], &q[0], len(q), e2,
+					half(phi, h), half(gx, h), half(gy, h), half(gz, h))
+			}
 		}
 		if !fma {
 			return

@@ -629,6 +629,100 @@ tileavxloop:
 	VZEROUPPER
 	RET
 
+// func regularizedCoulombGradAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[4]float64)
+//
+// RegularizedCoulomb gradient block against a 4-target tile (the
+// installed gradient tile runs it on each half): per lane, with
+// d = t - s[j], the scalar EvalGrad sequence
+//
+//	d2 = ((dx*dx + dy*dy) + dz*dz) + e2
+//	g  = 1 / sqrt(d2)
+//	c  = -g / d2
+//
+// and four per-lane chains p += g*q[j], gx += (c*dx)*q[j], ... in source
+// order, then one add of each block total into phi, gx, gy, gz. Every
+// step is a VSUBPD/VMULPD/VADDPD/VSQRTPD/VDIVPD twin of the scalar
+// operation in the same order — never FMA — so the outputs are
+// bit-identical to the scalar loop by construction. The one rewrite is
+// the sign: the body computes w = ((g/d2)*dx)*q[j] and subtracts it.
+// Round-to-nearest is sign-symmetric, so (-g)/d2 == -(g/d2),
+// c*dx == -((g/d2)*dx) and (c*dx)*q == -w exactly, zeros included, and
+// IEEE 754 defines gx - w as gx + (-w). Only the sign and payload of a NaN
+// (Eps = 0 with coincident points) may differ. n must be positive.
+// The divider bounds this loop: two VDIVPD and one VSQRTPD per source.
+TEXT ·regularizedCoulombGradAVX(SB), NOSPLIT, $0-104
+	MOVQ         tx+0(FP), AX
+	VMOVUPD      (AX), Y0          // tx[0:4]
+	MOVQ         ty+8(FP), AX
+	VMOVUPD      (AX), Y1          // ty[0:4]
+	MOVQ         tz+16(FP), AX
+	VMOVUPD      (AX), Y2          // tz[0:4]
+	MOVQ         sx+24(FP), SI
+	MOVQ         sy+32(FP), DI
+	MOVQ         sz+40(FP), R8
+	MOVQ         q+48(FP), R9
+	MOVQ         n+56(FP), CX
+	VBROADCASTSD e2+64(FP), Y7     // eps*eps
+	VBROADCASTSD ·avxOne(SB), Y8
+	XORQ         DX, DX            // j
+	VXORPD       Y3, Y3, Y3        // phi chains
+	VXORPD       Y4, Y4, Y4        // gx chains
+	VXORPD       Y5, Y5, Y5        // gy chains
+	VXORPD       Y6, Y6, Y6        // gz chains
+
+gradavxloop:
+	VBROADCASTSD (SI)(DX*8), Y9
+	VSUBPD       Y9, Y0, Y9        // dx = tx - sx[j]
+	VBROADCASTSD (DI)(DX*8), Y10
+	VSUBPD       Y10, Y1, Y10      // dy
+	VBROADCASTSD (R8)(DX*8), Y11
+	VSUBPD       Y11, Y2, Y11      // dz
+	VMULPD       Y9, Y9, Y12       // dx*dx
+	VMULPD       Y10, Y10, Y13     // dy*dy
+	VADDPD       Y13, Y12, Y12     // dx*dx + dy*dy
+	VMULPD       Y11, Y11, Y13     // dz*dz
+	VADDPD       Y13, Y12, Y12     // (dx*dx + dy*dy) + dz*dz
+	VADDPD       Y7, Y12, Y12      // d2 = ... + e2
+	VSQRTPD      Y12, Y13
+	VDIVPD       Y13, Y8, Y13      // g = 1 / sqrt(d2)
+	VBROADCASTSD (R9)(DX*8), Y14   // q[j]
+	VMULPD       Y14, Y13, Y15     // g * q[j]
+	VADDPD       Y15, Y3, Y3       // p += g*q[j]
+	VDIVPD       Y12, Y13, Y13     // g / d2 = -c
+	VMULPD       Y9, Y13, Y15      // (g/d2)*dx = -(c*dx)
+	VMULPD       Y14, Y15, Y15
+	VSUBPD       Y15, Y4, Y4       // gx += (c*dx)*q[j]
+	VMULPD       Y10, Y13, Y15
+	VMULPD       Y14, Y15, Y15
+	VSUBPD       Y15, Y5, Y5       // gy += (c*dy)*q[j]
+	VMULPD       Y11, Y13, Y15
+	VMULPD       Y14, Y15, Y15
+	VSUBPD       Y15, Y6, Y6       // gz += (c*dz)*q[j]
+
+	INCQ DX
+	CMPQ DX, CX
+	JNE  gradavxloop
+
+	// One per-lane add of each block total into its output.
+	MOVQ    phi+72(FP), AX
+	VMOVUPD (AX), Y9
+	VADDPD  Y3, Y9, Y9
+	VMOVUPD Y9, (AX)
+	MOVQ    gx+80(FP), AX
+	VMOVUPD (AX), Y9
+	VADDPD  Y4, Y9, Y9
+	VMOVUPD Y9, (AX)
+	MOVQ    gy+88(FP), AX
+	VMOVUPD (AX), Y9
+	VADDPD  Y5, Y9, Y9
+	VMOVUPD Y9, (AX)
+	MOVQ    gz+96(FP), AX
+	VMOVUPD (AX), Y9
+	VADDPD  Y6, Y9, Y9
+	VMOVUPD Y9, (AX)
+	VZEROUPPER
+	RET
+
 
 // func coulombTileZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
 //

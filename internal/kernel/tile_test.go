@@ -731,4 +731,22 @@ func BenchmarkEvalTile(b *testing.B) {
 			})
 		}
 	}
+	// The gradient tile, installed and through the reference loop.
+	rk := RegularizedCoulomb{Eps: 0.05}
+	for _, asm := range []bool{true, false} {
+		name := rk.Name() + "/grad/asm-off"
+		if asm {
+			name = rk.Name() + "/grad/asm-on"
+		}
+		b.Run(name, func(b *testing.B) {
+			prev := SetAsmKernels(asm)
+			defer SetAsmKernels(prev)
+			var out gradTile
+			b.SetBytes(TileWidth * n * 8)
+			for i := 0; i < b.N; i++ {
+				out.eval(rk, &tx, &ty, &tz, sx, sy, sz, q)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(TileWidth*n*b.N), "ns/interaction")
+		})
+	}
 }

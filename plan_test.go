@@ -214,6 +214,31 @@ func TestPlanSolveWithFieldMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestFieldPathsRequireGradient pins the error path of every field entry
+// point: a KernelFunc has no analytic gradient, so SolveWithField,
+// Plan.SolveWithField and DirectField refuse it with the same error
+// instead of returning results.
+func TestFieldPathsRequireGradient(t *testing.T) {
+	pts := barytree.UniformCube(200, 66)
+	k := barytree.KernelFunc("no-grad", func(tx, ty, tz, sx, sy, sz float64) float64 { return 1 }, 1, 1)
+	const want = `barytree: kernel "no-grad" provides no analytic gradient`
+	pl, err := barytree.NewPlan(pts, pts, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]func() (*barytree.FieldResult, error){
+		"SolveWithField":      func() (*barytree.FieldResult, error) { return barytree.SolveWithField(k, pts, pts, smallParams()) },
+		"Plan.SolveWithField": func() (*barytree.FieldResult, error) { return pl.SolveWithField(k, nil) },
+		"DirectField":         func() (*barytree.FieldResult, error) { return barytree.DirectField(k, pts, pts) },
+	}
+	for name, call := range calls {
+		res, err := call()
+		if err == nil || err.Error() != want || res != nil {
+			t.Errorf("%s: got (%v, %v), want (nil, %q)", name, res, err, want)
+		}
+	}
+}
+
 // TestPlanUpdate pins the public update contract end to end: a zero-drift
 // Update refits and solves byte-identically to the pre-update plan, and an
 // Update that restructures solves byte-identically to a one-shot Solve at

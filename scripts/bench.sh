@@ -86,7 +86,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-BENCH='^(BenchmarkEvalDirectBlock|BenchmarkBuildLists100k|BenchmarkModifiedCharges|BenchmarkClusterData50k|BenchmarkTreeBuild100k|BenchmarkBatchBuild100k|BenchmarkTreecodeCPU50k|BenchmarkTreecodeDevice50k|BenchmarkComputePhase50k|BenchmarkComputePhase50kParallel|BenchmarkPlanSolve50k|BenchmarkServeSolve20k|BenchmarkLeapfrogStep100k|BenchmarkLeapfrogStep100kRebuild|BenchmarkDistributed4Ranks|BenchmarkDistributedOverlap4Ranks)$'
+BENCH='^(BenchmarkEvalDirectBlock|BenchmarkBuildLists100k|BenchmarkModifiedCharges|BenchmarkClusterData50k|BenchmarkTreeBuild100k|BenchmarkBatchBuild100k|BenchmarkTreecodeCPU50k|BenchmarkTreecodeDevice50k|BenchmarkComputePhase50k|BenchmarkComputePhase50kParallel|BenchmarkPlanSolve50k|BenchmarkServeSolve20k|BenchmarkSolveWithField10k|BenchmarkLeapfrogStep100k|BenchmarkLeapfrogStep100kRebuild|BenchmarkDistributed4Ranks|BenchmarkDistributedOverlap4Ranks)$'
 
 SECTIONS=$(mktemp)
 trap 'rm -f "$SECTIONS"' EXIT

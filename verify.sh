@@ -53,6 +53,6 @@ echo "bltcd smoke: ok"
 # benches still compile and run. The output lands in bench-smoke.txt (not a
 # perf record: one untimed iteration), which CI uploads as an artifact so a
 # failing or silently vanishing benchmark is visible from the workflow run.
-go test -run '^$' -bench '^(BenchmarkEvalDirectBlock|BenchmarkBuildLists100k|BenchmarkModifiedCharges|BenchmarkClusterData50k|BenchmarkTreeBuild100k|BenchmarkBatchBuild100k|BenchmarkTreecodeCPU50k|BenchmarkTreecodeDevice50k|BenchmarkComputePhase50k|BenchmarkComputePhase50kParallel|BenchmarkPlanSolve50k|BenchmarkServeSolve20k|BenchmarkLeapfrogStep100k|BenchmarkLeapfrogStep100kRebuild|BenchmarkDistributed4Ranks|BenchmarkDistributedOverlap4Ranks)$' -benchtime 1x . >bench-smoke.txt
+go test -run '^$' -bench '^(BenchmarkEvalDirectBlock|BenchmarkBuildLists100k|BenchmarkModifiedCharges|BenchmarkClusterData50k|BenchmarkTreeBuild100k|BenchmarkBatchBuild100k|BenchmarkTreecodeCPU50k|BenchmarkTreecodeDevice50k|BenchmarkComputePhase50k|BenchmarkComputePhase50kParallel|BenchmarkPlanSolve50k|BenchmarkServeSolve20k|BenchmarkSolveWithField10k|BenchmarkLeapfrogStep100k|BenchmarkLeapfrogStep100kRebuild|BenchmarkDistributed4Ranks|BenchmarkDistributedOverlap4Ranks)$' -benchtime 1x . >bench-smoke.txt
 echo "bench smoke (-benchtime=1x): ok"
 echo "verify: all checks passed"

@@ -25,8 +25,8 @@
 // interaction lists, cluster grids), precompute (modified charges) and
 // compute — for one shot. When the particle positions repeat across calls,
 // run the setup once with NewPlan and reuse it: Plan.Solve (concurrent
-// one-shot solves against a shared immutable Plan), Solver (sequential
-// charge-update iteration, e.g. a Krylov matvec loop), or the bltcd
+// solves against a shared immutable Plan; with new charges every call it
+// is the matvec of an iterative solver, e.g. a Krylov loop), or the bltcd
 // daemon (cmd/bltcd), which serves HTTP solve requests against a cache of
 // Plans keyed by geometry. All reuse paths return potentials byte-identical
 // to the corresponding one-shot call; see docs/serving.md.
@@ -209,7 +209,7 @@ type DeviceConfig struct {
 // modified-charge kernels, batch/cluster potential kernels cycling over
 // asynchronous streams with atomic accumulation, potential copy-out. The
 // setup phase (host-side, Section 3.1) runs per call, as in the paper's
-// measurements; the reuse paths (Plan.Solve, Solver, cmd/bltcd) currently
+// measurements; the reuse paths (Plan.Solve, cmd/bltcd) currently
 // evaluate on the CPU backend only.
 func SolveDevice(k Kernel, targets, sources *Particles, p Params, cfg DeviceConfig) (*Result, error) {
 	pl, err := core.NewPlan(targets, sources, p)

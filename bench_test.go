@@ -350,16 +350,18 @@ func BenchmarkClusterData50k(b *testing.B) {
 }
 
 // BenchmarkModifiedCharges measures the charge pass alone on a fixed
-// layout (grid construction is BenchmarkClusterData50k); in steady state
-// the pass reuses pooled scratch and the q-hat arena, so B/op is ~0. It
-// also reports ns/point, the time per particle·Chebyshev-point product
-// (Σ nc·(n+1)³ over nodes) — the work-normalized unit perfbench reports
-// as charges.ns_per_point.
+// layout (grid construction is BenchmarkClusterData50k): every iteration
+// unpublishes all nodes of one ChargeState (ResetToPlan) and runs a full
+// Compute. In steady state the pass reuses pooled scratch and the state's
+// q-hat arena, so B/op is ~0. It also reports ns/point, the time per
+// particle·Chebyshev-point product (Σ nc·(n+1)³ over nodes) — the
+// work-normalized unit perfbench reports as charges.ns_per_point.
 func BenchmarkModifiedCharges(b *testing.B) {
 	const degree = 8
 	pts := barytree.UniformCube(50_000, 2)
 	t := tree.Build(pts, 2000)
-	cd := core.NewClusterData(t, degree)
+	pl := &core.Plan{Sources: t, Clusters: core.NewClusterData(t, degree)}
+	st := core.NewChargeState(pl)
 	var points float64
 	for i := range t.Nodes {
 		points += float64(t.Nodes[i].Count())
@@ -368,7 +370,8 @@ func BenchmarkModifiedCharges(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cd.ComputeCharges(t, 0)
+		st.ResetToPlan(pl)
+		st.Compute(pl, 0)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(points*float64(b.N)), "ns/point")
 }
@@ -385,8 +388,8 @@ func BenchmarkTreecodeCPU50k(b *testing.B) {
 }
 
 // BenchmarkComputePhase50k measures the compute phase alone:
-// core.RunComputeOnly on a prebuilt plan with the modified charges already
-// computed, the repeated-solve path of the Solver facade. Unlike
+// core.RunComputeState on a prebuilt plan with one ChargeState computed
+// before the timer, the compute half of every Plan.Solve. Unlike
 // BenchmarkTreecodeCPU50k — which re-runs the full Solve (tree build,
 // lists, charge pass) every iteration and dilutes inner-loop wins — this
 // isolates the interaction-list evaluation that dominates every problem
@@ -398,13 +401,14 @@ func BenchmarkComputePhase50k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl.Clusters.ComputeCharges(pl.Sources, 0)
+	st := core.NewChargeState(pl)
+	st.Compute(pl, 0)
 	phi := make([]float64, pts.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(phi)
-		core.RunComputeOnly(pl, kernel.Coulomb{}, phi)
+		core.RunComputeState(pl, kernel.Coulomb{}, st, phi, 0)
 	}
 }
 
@@ -421,14 +425,15 @@ func BenchmarkComputePhase50kParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl.Clusters.ComputeCharges(pl.Sources, 0)
+	st := core.NewChargeState(pl)
+	st.Compute(pl, 0)
 	phi := make([]float64, pts.Len())
 	for workers := 1; workers <= runtime.NumCPU(); workers *= 2 {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				clear(phi)
-				core.RunComputeOnlyWorkers(pl, kernel.Coulomb{}, phi, workers)
+				core.RunComputeState(pl, kernel.Coulomb{}, st, phi, workers)
 			}
 		})
 	}

@@ -17,69 +17,34 @@ var syncLockTypes = map[string]bool{
 	"Pool":      true,
 }
 
-// MutexCopy returns the analyzer that flags locks passed or copied by
-// value: function parameters and value receivers whose type contains a sync
-// lock, and `range` value variables that copy a lock per iteration. The
-// stock go vet copylocks check catches assignments; this is the stricter
-// project rule that the *signatures* of the mpisim/device layers never
-// traffic in lock values at all — a copied barrier or window mutex
-// deadlocks rank goroutines in ways that only reproduce under load.
+// MutexCopy returns the analyzer that flags function results whose type
+// contains a sync lock by value. go vet's copylocks check, which verify.sh
+// and CI run, already flags lock-bearing parameters, value receivers,
+// range value variables and assignments; it accepts a returned composite
+// literal, so a constructor like `func New() guarded` would hand every
+// caller its own copy of a lock meant to be shared. This is the project
+// rule that the signatures of the mpisim/device layers never traffic in
+// lock values at all — a copied barrier or window mutex deadlocks rank
+// goroutines in ways that only reproduce under load.
 func MutexCopy() *Analyzer {
 	a := &Analyzer{
 		Name: "mutexcopy",
-		Doc: "flag sync.Mutex (and friends) passed by value in parameters, receivers, " +
-			"results, or copied by range value variables",
+		Doc:  "flag sync.Mutex (and friends) returned by value (go vet copylocks covers parameters, receivers and range values)",
 	}
 	a.Run = func(pass *Pass) {
 		info := pass.Pkg.Info
 		funcDecls(pass.Pkg, func(fd *ast.FuncDecl) {
-			check := func(kind string, fields *ast.FieldList) {
-				if fields == nil {
-					return
-				}
-				for _, field := range fields.List {
-					tv, ok := info.Types[field.Type]
-					if !ok || !containsLock(tv.Type, nil) {
-						continue
-					}
-					pass.Reportf(field.Pos(), "%s of %s copies a lock (%s); use a pointer",
-						kind, fd.Name.Name, tv.Type)
-				}
+			if fd.Type.Results == nil {
+				return
 			}
-			check("receiver", fd.Recv)
-			check("parameter", fd.Type.Params)
-			check("result", fd.Type.Results)
-
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok || rs.Value == nil {
-					return true
+			for _, field := range fd.Type.Results.List {
+				tv, ok := info.Types[field.Type]
+				if !ok || !containsLock(tv.Type, nil) {
+					continue
 				}
-				var vt types.Type
-				if id := exprIdent(rs.Value); id != nil {
-					if id.Name == "_" {
-						return true
-					}
-					// A `:=` range value is a definition, recorded in Defs
-					// rather than Types.
-					if obj := info.Defs[id]; obj != nil {
-						vt = obj.Type()
-					}
-				}
-				if vt == nil {
-					tv, ok := info.Types[rs.Value]
-					if !ok {
-						return true
-					}
-					vt = tv.Type
-				}
-				if !containsLock(vt, nil) {
-					return true
-				}
-				pass.Reportf(rs.Value.Pos(),
-					"range value copies a lock (%s) each iteration; range over indices or pointers", vt)
-				return true
-			})
+				pass.Reportf(field.Pos(), "result of %s copies a lock (%s); use a pointer",
+					fd.Name.Name, tv.Type)
+			}
 		})
 	}
 	return a

@@ -11,9 +11,11 @@ import (
 )
 
 // ClusterData holds, for every node of a source tree, the tensor-product
-// Chebyshev grid over the node's (minimal) bounding box, the flattened
-// interpolation-point coordinates, and — once a charge pass has run — the
-// modified charges q-hat of equation (12).
+// Chebyshev grid over the node's (minimal) bounding box and the flattened
+// interpolation-point coordinates. It is read-only geometry: no solve
+// writes it, and only Plan.Update re-lays it. The modified charges q-hat of
+// equation (12) depend on the source charges, so they live in a
+// ChargeState, which every driver fills from these grids.
 type ClusterData struct {
 	Degree int
 	Grids  []chebyshev.Grid3D
@@ -22,22 +24,15 @@ type ClusterData struct {
 	// per-node slice is a view into one flat arena (ptArena), so the whole
 	// layout costs a handful of allocations rather than ~4 per node.
 	PX, PY, PZ [][]float64
-	// Qhat[i] are node i's modified charges, nil before a charge pass.
-	// When filled by the host or device charge pass, Qhat[i] aliases node
-	// i's slot of a flat arena (qhatArena), so repeated passes after
-	// Solver.UpdateCharges-style invalidation allocate nothing.
-	Qhat [][]float64
 
 	cache     *chebyshev.DegreeCache // degree-dependent cos/weights tables
 	gridArena []float64              // 1D grid points, 3*(degree+1) per node
 	ptArena   []float64              // flattened coords, 3*(n+1)^3 per node
-	qhatArena []float64              // modified-charge slots, (n+1)^3 per node
 }
 
 // NewClusterData lays out degree-n interpolation grids for every node of t
 // using all available cores; it is NewClusterDataWorkers with the default
-// worker count. Modified charges are left nil; call ComputeCharges (or run
-// a driver) to fill them.
+// worker count.
 func NewClusterData(t *tree.Tree, degree int) *ClusterData {
 	return NewClusterDataWorkers(t, degree, 0)
 }
@@ -56,7 +51,6 @@ func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 		PX:     make([][]float64, n),
 		PY:     make([][]float64, n),
 		PZ:     make([][]float64, n),
-		Qhat:   make([][]float64, n),
 	}
 	if n == 0 {
 		return cd
@@ -68,7 +62,6 @@ func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 	np := m * m * m
 	cd.gridArena = make([]float64, n*3*m)
 	cd.ptArena = make([]float64, n*3*np)
-	cd.qhatArena = make([]float64, n*np)
 	pool.For(n, workers, func(i int) {
 		g := cd.cache.Grid3DInto(t.Nodes[i].Box, cd.gridArena[i*3*m:(i+1)*3*m])
 		cd.Grids[i] = g
@@ -83,13 +76,13 @@ func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 }
 
 // RefitGridsWorkers re-lays the interpolation grid of every node over the
-// tree's current (refit) boxes, reusing the grid and point arenas, and
-// unpublishes the modified charges (Qhat[i] = nil) so the next charge pass
-// recomputes them against the new grids. This is Plan.Update's refit fast
-// path for the cluster data: the node count is unchanged by construction,
-// so no allocation or re-slicing is needed, and after the next charge pass
+// tree's current (refit) boxes, reusing the grid and point arenas. This is
+// Plan.Update's refit fast path for the cluster data: the node count is
+// unchanged by construction, so no allocation or re-slicing is needed, and
 // the cluster data is indistinguishable from a fresh NewClusterDataWorkers
-// over the refit tree — same arena layout, same bits.
+// over the refit tree — same arena layout, same bits. Update bumps the
+// plan generation, so charge states filled against the old grids are
+// rejected rather than re-read.
 func (cd *ClusterData) RefitGridsWorkers(t *tree.Tree, workers int) {
 	n := len(t.Nodes)
 	if n != len(cd.Grids) {
@@ -109,16 +102,7 @@ func (cd *ClusterData) RefitGridsWorkers(t *tree.Tree, workers int) {
 		pz := cd.ptArena[base+2*np : base+3*np : base+3*np]
 		g.FlattenedPointsInto(px, py, pz)
 		cd.PX[i], cd.PY[i], cd.PZ[i] = px, py, pz
-		cd.Qhat[i] = nil
 	})
-}
-
-// qhatSlot returns node ni's slot of the modified-charge arena, the buffer
-// a charge pass fills and publishes as Qhat[ni].
-func (cd *ClusterData) qhatSlot(ni int) []float64 {
-	m := cd.Degree + 1
-	np := m * m * m
-	return cd.qhatArena[ni*np : (ni+1)*np : (ni+1)*np]
 }
 
 // chargeWork returns the modeled flop-equivalents of the two preprocessing
@@ -182,8 +166,7 @@ func (s *chargeScratch) Reserve(nc, m int) {
 // pass1Particle computes the intermediate quantity q-tilde (equation (14))
 // and the barycentric factors for the j-th particle of node nd, mirroring
 // one thread block of the first preprocessing kernel. q supplies the source
-// charges in tree order — the plan's own Q for a plan-owned pass, or a
-// ChargeState's Q for a per-request pass; the arithmetic is identical.
+// charges in tree order (a ChargeState's Q).
 //
 //hot:path
 func (cd *ClusterData) pass1Particle(src *particle.Set, q []float64, nd *tree.Node, ni, j int, s *chargeScratch) {
@@ -265,11 +248,9 @@ func (cd *ClusterData) pass2Slabs(s *chargeScratch, k1lo, k1hi int, qhat []float
 
 // computeChargesNodeInto runs both host passes for node ni with charges q
 // (tree order) into the caller-provided qhat buffer, using the caller's
-// scratch — the pass itself allocates nothing. This is the shared body of
-// the plan-owned pass (qhat = the plan's arena slot) and the per-request
-// pass (qhat = a ChargeState's arena slot); for equal q the filled values
-// are bit-identical because the operation sequence does not depend on
-// which buffer receives them.
+// scratch — the pass itself allocates nothing. It is the one host body of
+// the charge pass: ChargeState.Compute and EvaluateSampled's lazy fill both
+// run it, and the device's functional blocks run its two halves.
 func (cd *ClusterData) computeChargesNodeInto(src *particle.Set, q []float64, nd *tree.Node, ni int, s *chargeScratch, qhat []float64) {
 	nc := nd.Count()
 	s.Reserve(nc, cd.Degree+1)
@@ -279,42 +260,21 @@ func (cd *ClusterData) computeChargesNodeInto(src *particle.Set, q []float64, nd
 	cd.pass2Slabs(s, 0, cd.Degree+1, qhat)
 }
 
-// computeChargesNode fills Qhat[ni] on the host (both passes, serial),
-// using the caller's scratch buffers and the node's arena slot — the pass
-// itself allocates nothing.
-func (cd *ClusterData) computeChargesNode(src *particle.Set, nd *tree.Node, ni int, s *chargeScratch) {
-	qhat := cd.qhatSlot(ni)
-	cd.computeChargesNodeInto(src, src.Q, nd, ni, s, qhat)
-	cd.Qhat[ni] = qhat
-}
-
-// ComputeCharges fills the modified charges of every cluster on the host
-// using up to `workers` goroutines (workers <= 0 selects GOMAXPROCS, as
-// pool.Workers does). Each worker reuses one flat scratch buffer across
-// its clusters and writes into the modified-charge arena, so a
-// steady-state pass allocates nothing. It returns the total modeled
-// flop-equivalents of the work.
-func (cd *ClusterData) ComputeCharges(t *tree.Tree, workers int) float64 {
-	flops := cd.TotalChargeWork(t)
-	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {
-		s := scratchPool.Get().(*chargeScratch)
-		for i := lo; i < hi; i++ {
-			cd.computeChargesNode(t.Particles, &t.Nodes[i], i, s)
-		}
-		scratchPool.Put(s)
-	})
-	return flops
-}
-
 // TotalChargeWork returns the modeled flop-equivalents of a full charge
 // pass over tree t without executing it.
 func (cd *ClusterData) TotalChargeWork(t *tree.Tree) float64 {
 	var flops float64
 	for i := range t.Nodes {
-		p1, p2 := chargeWork(cd.Degree, t.Nodes[i].Count())
-		flops += p1 + p2
+		flops += cd.nodeChargeWork(t, i)
 	}
 	return flops
+}
+
+// nodeChargeWork returns the modeled flop-equivalents of node i's charge
+// pass (both kernels).
+func (cd *ClusterData) nodeChargeWork(t *tree.Tree, i int) float64 {
+	p1, p2 := chargeWork(cd.Degree, t.Nodes[i].Count())
+	return p1 + p2
 }
 
 // ChargesBytes returns the total size in bytes of all modified-charge

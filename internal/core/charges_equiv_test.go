@@ -71,15 +71,16 @@ func referenceCharges(cd *ClusterData, t *tree.Tree) [][]float64 {
 
 // TestComputeChargesMatchesReference verifies every charge-pass entry point
 // is bit-identical to the allocating reference: the host pass
-// (ComputeCharges) and the per-request pass (ChargeState.Compute) at
-// serial and parallel worker counts — scratch reuse across clusters must
-// not leak state between them — and the simulated device's functional
-// LaunchChargeKernels at one and several device workers. The geometries
-// give clusters of 1 particle, of fewer than, exactly and one more than
-// chargeChunk particles, and a multi-level tree whose root holds over
-// 2000, so the particle-chunked pass 2 runs with no full chunk, exactly
-// one, a one-particle tail and many chunks; the degrees span 1 through 13.
-// Every value is compared with ==.
+// (ChargeState.Compute) at serial and parallel worker counts — scratch
+// reuse across clusters must not leak state between them — the lazy
+// subset fill (EvaluateSampled computes only the nodes its samples need,
+// and a later Compute fills the rest), and the simulated device's
+// functional LaunchChargeKernels at one and several device workers. The
+// geometries give clusters of 1 particle, of fewer than, exactly and one
+// more than chargeChunk particles, and a multi-level tree whose root holds
+// over 2000, so the particle-chunked pass 2 runs with no full chunk,
+// exactly one, a one-particle tail and many chunks; the degrees span 1
+// through 13. Every value is compared with ==.
 func TestComputeChargesMatchesReference(t *testing.T) {
 	geoms := []struct {
 		name   string
@@ -124,37 +125,42 @@ func TestComputeChargesMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				// Poisoning every slot with NaN first makes a fill that
+				// Poisoning the whole arena with NaN first makes a fill that
 				// skips an output fail instead of reading a prior fill's bits.
-				poison := func(q []float64) {
-					for b := range q {
-						q[b] = math.NaN()
+				poisoned := func() *ChargeState {
+					st := NewChargeState(pl)
+					arena := st.FlatQhat()
+					for b := range arena {
+						arena[b] = math.NaN()
 					}
-				}
-				poisonPlan := func() {
-					for ni := range tr.Nodes {
-						poison(cd.qhatSlot(ni))
-						cd.Qhat[ni] = nil
-					}
+					return st
 				}
 				for _, workers := range []int{1, 3, 0} {
-					poisonPlan()
-					cd.ComputeCharges(tr, workers)
-					check(fmt.Sprintf("ComputeCharges workers=%d", workers), cd.Qhat)
-
-					st := NewChargeState(pl)
-					for _, q := range st.Qhat {
-						poison(q)
-					}
+					st := poisoned()
 					st.Compute(pl, workers)
 					check(fmt.Sprintf("ChargeState.Compute workers=%d", workers), st.Qhat)
 				}
+
+				st := poisoned()
+				if _, err := EvaluateSampled(pl, kernel.Coulomb{}, st, []int{0, g.n - 1}); err != nil {
+					t.Fatal(err)
+				}
+				for ni, q := range st.Qhat {
+					for b, v := range q { // nil: not on a sampled list
+						if v != want[ni][b] {
+							t.Fatalf("EvaluateSampled lazy node %d point %d: qhat = %v, want %v", ni, b, v, want[ni][b])
+						}
+					}
+				}
+				st.Compute(pl, 0)
+				check("Compute after lazy fill", st.Qhat)
+
 				for _, devWorkers := range []int{1, 4} {
-					poisonPlan()
+					st := poisoned()
 					var hc perfmodel.Clock
 					dev := device.New(perfmodel.TitanV(), devWorkers)
-					LaunchChargeKernels(cd, tr, dev, &hc, 0, 0, false)
-					check(fmt.Sprintf("LaunchChargeKernels device workers=%d", devWorkers), cd.Qhat)
+					LaunchChargeKernels(pl, st, dev, &hc, 0, 0, false)
+					check(fmt.Sprintf("LaunchChargeKernels device workers=%d", devWorkers), st.Qhat)
 				}
 			})
 		}

@@ -12,16 +12,21 @@ import (
 )
 
 // TestNewClusterDataWorkersDeterministic pins the arena rebuild: grids,
-// flattened points and (after a charge pass) modified charges must be
-// value-identical for every worker count.
+// flattened points and the modified charges a charge pass computes from
+// them must be value-identical for every worker count.
 func TestNewClusterDataWorkersDeterministic(t *testing.T) {
 	pts := particle.UniformCube(5000, rand.New(rand.NewSource(6)))
 	tr := tree.Build(pts, 200)
+	charges := func(cd *ClusterData, workers int) [][]float64 {
+		pl := &Plan{Sources: tr, Clusters: cd}
+		st := NewChargeState(pl)
+		st.Compute(pl, workers)
+		return st.Qhat
+	}
 	want := NewClusterDataWorkers(tr, 4, 1)
-	want.ComputeCharges(tr, 1)
+	wantQ := charges(want, 1)
 	for _, w := range []int{2, 3, 7, runtime.GOMAXPROCS(0)} {
 		got := NewClusterDataWorkers(tr, 4, w)
-		got.ComputeCharges(tr, w)
 		if !reflect.DeepEqual(want.Grids, got.Grids) {
 			t.Fatalf("workers=%d: grids differ", w)
 		}
@@ -29,7 +34,7 @@ func TestNewClusterDataWorkersDeterministic(t *testing.T) {
 			!reflect.DeepEqual(want.PZ, got.PZ) {
 			t.Fatalf("workers=%d: flattened points differ", w)
 		}
-		if !reflect.DeepEqual(want.Qhat, got.Qhat) {
+		if !reflect.DeepEqual(wantQ, charges(got, w)) {
 			t.Fatalf("workers=%d: modified charges differ", w)
 		}
 	}
@@ -56,23 +61,27 @@ func TestNewClusterDataMatchesLegacyLayout(t *testing.T) {
 	}
 }
 
-// TestClusterDataQhatArenaReuse pins the steady-state allocation contract:
-// invalidating Qhat (as Solver.UpdateCharges does) and recomputing must
-// land every node back on its arena slot, not a fresh allocation.
-func TestClusterDataQhatArenaReuse(t *testing.T) {
+// TestChargeStateArenaReuse pins the steady-state allocation contract:
+// unpublishing a state's modified charges (SetCharges, as the serving
+// layer does to each pooled state per request) and recomputing must land
+// every node back on its arena slot, not a fresh allocation.
+func TestChargeStateArenaReuse(t *testing.T) {
 	pts := particle.UniformCube(2000, rand.New(rand.NewSource(12)))
-	tr := tree.Build(pts, 100)
-	cd := NewClusterData(tr, 3)
-	cd.ComputeCharges(tr, 0)
-	first := make([]*float64, len(cd.Qhat))
-	for i, q := range cd.Qhat {
+	pl, err := NewPlan(pts, pts, Params{Theta: 0.7, Degree: 3, LeafSize: 100, BatchSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewChargeState(pl)
+	st.Compute(pl, 0)
+	first := make([]*float64, len(st.Qhat))
+	for i, q := range st.Qhat {
 		first[i] = &q[0]
 	}
-	for i := range cd.Qhat {
-		cd.Qhat[i] = nil
+	if err := st.SetCharges(pl, pts.Q); err != nil {
+		t.Fatal(err)
 	}
-	cd.ComputeCharges(tr, 0)
-	for i, q := range cd.Qhat {
+	st.Compute(pl, 0)
+	for i, q := range st.Qhat {
 		if &q[0] != first[i] {
 			t.Fatalf("node %d: recompute allocated a new qhat buffer", i)
 		}
@@ -85,7 +94,7 @@ func TestClusterDataQhatArenaReuse(t *testing.T) {
 func TestNewClusterDataEmptyTree(t *testing.T) {
 	tr := tree.Build(particle.NewSet(0), 10)
 	cd := NewClusterData(tr, 0) // degree 0 must not panic with zero nodes
-	if len(cd.Grids) != 0 || len(cd.Qhat) != 0 {
+	if len(cd.Grids) != 0 {
 		t.Fatalf("empty tree produced %d grids", len(cd.Grids))
 	}
 }

@@ -304,7 +304,8 @@ func TestChargeSumInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.Clusters.ComputeCharges(pl.Sources, 0)
+	st := NewChargeState(pl)
+	st.Compute(pl, 0)
 	for ni := range pl.Sources.Nodes {
 		nd := &pl.Sources.Nodes[ni]
 		var qsum float64
@@ -312,7 +313,7 @@ func TestChargeSumInvariant(t *testing.T) {
 			qsum += pl.Sources.Particles.Q[j]
 		}
 		var qhatSum float64
-		for _, v := range pl.Clusters.Qhat[ni] {
+		for _, v := range st.Qhat[ni] {
 			qhatSum += v
 		}
 		if math.Abs(qsum-qhatSum) > 1e-9*math.Max(1, math.Abs(qsum)) {

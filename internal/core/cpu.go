@@ -6,7 +6,6 @@ import (
 	"barytree/internal/interaction"
 	"barytree/internal/kernel"
 	"barytree/internal/perfmodel"
-	"barytree/internal/pool"
 )
 
 // Result is the output of a treecode run.
@@ -42,9 +41,11 @@ func (o *CPUOptions) defaults() {
 }
 
 // RunCPU evaluates the treecode plan on the CPU: modified charges for every
-// source cluster, then each batch's interaction list (direct sums for
-// near-field leaves, barycentric approximations for well-separated
-// clusters), parallelized over batches.
+// source cluster into a fresh ChargeState, then each batch's interaction
+// list (direct sums for near-field leaves, barycentric approximations for
+// well-separated clusters), parallelized over batches. It is Plan.Solve's
+// path — NewChargeState, Compute, RunComputeState, scatter — with modeled
+// and measured phase times around it.
 func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
 	opt.defaults()
 	res := &Result{Interactions: pl.Lists.Stats}
@@ -55,45 +56,20 @@ func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
 
 	// Precompute phase: modified charges.
 	start := time.Now()
-	chargeFlops := pl.Clusters.ComputeCharges(pl.Sources, opt.Workers)
+	st := NewChargeState(pl)
+	res.Times[perfmodel.PhasePrecompute] = st.Compute(pl, opt.Workers) / rate
 	res.Wall[perfmodel.PhasePrecompute] = time.Since(start).Seconds()
-	res.Times[perfmodel.PhasePrecompute] = chargeFlops / rate
 
-	// Compute phase: walk every batch's interaction list. The tile kernel
-	// is resolved once here; every inner loop below it is devirtualized.
+	// Compute phase: walk every batch's interaction list.
 	start = time.Now()
-	tk := kernel.AsTile(k)
 	phiBatch := make([]float64, pl.Batches.Targets.Len())
-	pool.For(len(pl.Batches.Batches), opt.Workers, func(bi int) {
-		evalBatchLists(pl, tk, bi, phiBatch, pl.Sources.Particles.Q, pl.Clusters.Qhat)
-	})
+	res.Times[perfmodel.PhaseCompute] = RunComputeState(pl, k, st, phiBatch, opt.Workers) / rate
 	res.Wall[perfmodel.PhaseCompute] = time.Since(start).Seconds()
-	res.Times[perfmodel.PhaseCompute] = computeFlops(pl.Lists.Stats, k, kernel.ArchCPU) / rate
 
 	// Map back to the caller's target order.
 	res.Phi = make([]float64, len(phiBatch))
 	pl.Batches.Perm.ScatterInto(res.Phi, phiBatch)
 	return res
-}
-
-// RunComputeOnly evaluates every batch's interaction list into phi (batch
-// target order, length = number of targets) using all cores, assuming the
-// plan's modified charges are already computed. It is the repeated-solve
-// path used by the Solver facade (boundary-integral iterations update
-// charges, not geometry). It returns the modeled compute-phase flop count.
-func RunComputeOnly(pl *Plan, k kernel.Kernel, phi []float64) float64 {
-	return RunComputeOnlyWorkers(pl, k, phi, 0)
-}
-
-// RunComputeOnlyWorkers is RunComputeOnly with an explicit worker count
-// (<= 0 selects GOMAXPROCS; 1 is serial). It is the multi-core scaling
-// probe the compute-phase benchmarks sweep.
-func RunComputeOnlyWorkers(pl *Plan, k kernel.Kernel, phi []float64, workers int) float64 {
-	tk := kernel.AsTile(k)
-	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		evalBatchLists(pl, tk, bi, phi, pl.Sources.Particles.Q, pl.Clusters.Qhat)
-	})
-	return computeFlops(pl.Lists.Stats, k, kernel.ArchCPU)
 }
 
 // evalBatchLists accumulates batch bi's full interaction list into phi
@@ -106,11 +82,10 @@ func RunComputeOnlyWorkers(pl *Plan, k kernel.Kernel, phi []float64, workers int
 // back to phi, so the result is bit-identical to the scalar reference
 // path (up to each kernel's documented tile ULP contract).
 //
-// q and qhat supply the source charges (tree order) and per-node modified
-// charges: the plan's own (RunCPU, RunComputeOnly) or a per-request
-// ChargeState's (RunComputeState, RunComputeGroup). The geometry always
-// comes from the plan; q/qhat are only ever read, so concurrent calls with
-// disjoint phi are safe.
+// q and qhat supply a ChargeState's source charges (tree order) and
+// per-node modified charges (RunComputeState, RunComputeGroup). The
+// geometry always comes from the plan; q/qhat are only ever read, so
+// concurrent calls with disjoint phi are safe.
 //
 //hot:path
 func evalBatchLists(pl *Plan, tk kernel.TileKernel, bi int, phi, q []float64, qhat [][]float64) {

@@ -94,16 +94,17 @@ func TestTiledFieldsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.Compute(pl, 1)
-		// RunCPUFields fills the plan's own modified charges; fill them
-		// up front too, so the reference can read them.
-		pl.Clusters.ComputeCharges(pl.Sources, 1)
+		// RunCPUFields evaluates the build-time charges through its own
+		// state; the reference reads an equal one.
+		planQ := NewChargeState(pl)
+		planQ.Compute(pl, 1)
 		nt := pl.Batches.Targets.Len()
 		if pl.Lists.Stats.ApproxInteractions == 0 || pl.Lists.Stats.DirectInteractions == 0 {
 			t.Fatalf("morton=%v: lists %+v need both direct and approx entries", morton, pl.Lists.Stats)
 		}
 		for _, k := range kernels {
 			want := [4][]float64{make([]float64, nt), make([]float64, nt), make([]float64, nt), make([]float64, nt)}
-			phi, gx, gy, gz := referenceListFields(pl, k, pl.Sources.Particles.Q, pl.Clusters.Qhat)
+			phi, gx, gy, gz := referenceListFields(pl, k, planQ.Q, planQ.Qhat)
 			for o, v := range [][]float64{phi, gx, gy, gz} {
 				pl.Batches.Perm.ScatterInto(want[o], v)
 			}

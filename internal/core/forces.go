@@ -15,26 +15,25 @@ type FieldResult struct {
 }
 
 // RunCPUFields evaluates potentials and gradients for the plan on the CPU
-// backend. The modified charges are the ones already used for potentials
-// (interpolation is in the source variable, so the gradient with respect
-// to the target needs no new cluster data).
+// backend: NewChargeState, Compute, RunFieldsState, scatter — the path of
+// Plan.SolveWithField. The modified charges are the ones used for
+// potentials (interpolation is in the source variable, so the gradient
+// with respect to the target needs no new cluster data).
 func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
 	opt.defaults()
 	rate := opt.Spec.ParallelFlopRate()
 	res := &FieldResult{}
 	res.Times[perfmodel.PhaseSetup] = pl.SetupWork(opt.Spec)
 
-	chargeFlops := pl.Clusters.ComputeCharges(pl.Sources, opt.Workers)
-	res.Times[perfmodel.PhasePrecompute] = chargeFlops / rate
+	st := NewChargeState(pl)
+	res.Times[perfmodel.PhasePrecompute] = st.Compute(pl, opt.Workers) / rate
 
 	n := pl.Batches.Targets.Len()
 	phi := make([]float64, n)
 	gx := make([]float64, n)
 	gy := make([]float64, n)
 	gz := make([]float64, n)
-	pool.For(len(pl.Batches.Batches), opt.Workers, func(bi int) {
-		evalBatchFields(pl, k, bi, pl.Sources.Particles.Q, pl.Clusters.Qhat, phi, gx, gy, gz)
-	})
+	RunFieldsState(pl, k, st, phi, gx, gy, gz, opt.Workers)
 	res.Times[perfmodel.PhaseCompute] =
 		float64(pl.Lists.Stats.TotalInteractions()) * (kernel.GradCost(k, kernel.ArchCPU) + 8) / rate
 
@@ -60,10 +59,9 @@ func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
 // bit-identical to it. The padded lanes of grad keep whatever they held;
 // they are never stored.
 //
-// q and qhat supply the source charges (tree order) and per-node modified
-// charges: the plan's own (RunCPUFields) or a ChargeState's
-// (RunFieldsState). Both are only read, so concurrent calls with disjoint
-// outputs are safe.
+// q and qhat supply a ChargeState's source charges (tree order) and
+// per-node modified charges. Both are only read, so concurrent calls with
+// disjoint outputs are safe.
 //
 //hot:path
 func evalBatchFields(pl *Plan, k kernel.GradKernel, bi int, q []float64, qhat [][]float64, phi, gx, gy, gz []float64) {
@@ -98,12 +96,11 @@ func evalBatchFields(pl *Plan, k kernel.GradKernel, bi int, q []float64, qhat []
 }
 
 // RunFieldsState evaluates potentials and gradients against a ChargeState's
-// charges into the four caller buffers (batch target order). The modified
-// charges must be fresh (call st.Compute first). The plan is only read, so
-// concurrent calls with distinct (st, buffers) are safe. Byte-identical to
-// RunCPUFields' compute pass for equal charges.
+// charges into the four caller buffers (batch target order). Every node
+// must be computed (call st.Compute first); otherwise it panics. The plan
+// is only read, so concurrent calls with distinct (st, buffers) are safe.
 func RunFieldsState(pl *Plan, k kernel.GradKernel, st *ChargeState, phi, gx, gy, gz []float64, workers int) {
-	st.checkGen(pl)
+	st.checkComputed(pl)
 	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
 		evalBatchFields(pl, k, bi, st.Q, st.Qhat, phi, gx, gy, gz)
 	})

@@ -85,7 +85,8 @@ func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions)
 	dev.BeginPhase(hc.Now())
 	nSrc := int64(pl.Sources.Particles.Len())
 	copyDone := dev.CopyIn(hc.Now(), 4*8*nSrc) // x, y, z, q
-	LaunchChargeKernels(pl.Clusters, pl.Sources, dev, &hc, copyDone, streams, opt.ModelOnly)
+	st := NewChargeState(pl)
+	LaunchChargeKernels(pl, st, dev, &hc, copyDone, streams, opt.ModelOnly)
 	hc.AdvanceTo(dev.Drain())
 	hc.AdvanceTo(dev.CopyOut(hc.Now(), pl.Clusters.ChargesBytes()))
 	res.Times[perfmodel.PhasePrecompute] = hc.Now() - res.Times[perfmodel.PhaseSetup]
@@ -117,7 +118,7 @@ func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions)
 			l.LaunchDirect(tg, b.Lo, b.Count(), src, nd.Lo, nd.Hi, phi)
 		}
 		for _, ci := range pl.Lists.Approx[bi] {
-			l.LaunchApprox(tg, b.Lo, b.Count(), cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci], phi)
+			l.LaunchApprox(tg, b.Lo, b.Count(), cd.PX[ci], cd.PY[ci], cd.PZ[ci], st.Qhat[ci], phi)
 		}
 	}
 	hc.AdvanceTo(dev.Drain())

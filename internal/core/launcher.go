@@ -7,7 +7,6 @@ import (
 	"barytree/internal/kernel"
 	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
-	"barytree/internal/tree"
 )
 
 // Launcher queues batch/cluster potential kernels on a simulated device,
@@ -171,11 +170,14 @@ func (l *Launcher) launchTiles(spec device.LaunchSpec, submit float64, tg *parti
 // both launches. Kernel 2's functional grid is coarser: its m = n+1
 // host blocks each fill one k1-slab of q-hat with pass2Slabs, the same
 // particle-chunked body as the host pass, so device and host q-hat are
-// bit-identical. In model-only mode the launches are recorded for timing
-// but Qhat stays nil.
-func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
+// bit-identical. The charges come from st.Q and every node's q-hat is
+// published into st.Qhat. In model-only mode the launches are recorded for
+// timing but st.Qhat stays nil.
+func LaunchChargeKernels(pl *Plan, st *ChargeState, dev *device.Device,
 	hc *perfmodel.Clock, dataReady float64, streams int, modelOnly bool) {
 
+	st.checkGen(pl)
+	cd, t := pl.Clusters, pl.Sources
 	if streams <= 0 {
 		streams = dev.Spec.Streams
 	}
@@ -198,11 +200,11 @@ func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 		var qhat []float64
 		if !modelOnly {
 			scratch.Reserve(nc, m)
-			qhat = cd.qhatSlot(ni)
+			qhat = st.slot(ni)
 			ni := ni
 			nd := nd
 			fn1 = func(block int) {
-				cd.pass1Particle(t.Particles, t.Particles.Q, nd, ni, block, scratch)
+				cd.pass1Particle(t.Particles, st.Q, nd, ni, block, scratch)
 			}
 			fn2 = func(k1 int) {
 				cd.pass2Slabs(scratch, k1, k1+1, qhat)
@@ -230,7 +232,7 @@ func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 		}, math.Max(hc.Now(), dataReady), m, fn2)
 		launch++
 		if !modelOnly {
-			cd.Qhat[ni] = qhat
+			st.Qhat[ni] = qhat
 		}
 	}
 }

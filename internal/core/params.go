@@ -96,7 +96,10 @@ func (p Params) MAC() interaction.MAC {
 // the source cluster tree, the target batches, the batch/cluster interaction
 // lists, and the per-cluster interpolation grids. A Plan is independent of
 // the interaction kernel, so one Plan can be evaluated under several kernels
-// (as Figure 4 does for Coulomb and Yukawa).
+// (as Figure 4 does for Coulomb and Yukawa), and of the source charges: the
+// modified charges live in a ChargeState. No solve writes a Plan — every
+// driver reads it and fills its own ChargeState — so concurrent solves may
+// share one; only Update mutates it.
 type Plan struct {
 	Params   Params
 	Sources  *tree.Tree

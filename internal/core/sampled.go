@@ -9,8 +9,8 @@ import (
 )
 
 // EvaluateSampled functionally evaluates the treecode potential only at the
-// given target indices (in the caller's original target ordering) and
-// returns the potentials in sample order.
+// given target indices (in the caller's original target ordering) against
+// the charge state st and returns the potentials in sample order.
 //
 // This is the mechanism that lets the benchmark harness reproduce the
 // paper's experiments at full problem size on a laptop: the tree, batches
@@ -18,9 +18,12 @@ import (
 // counter feeding the performance model is exact), while kernel evaluations
 // — the O(N log N) bulk — run only for a sampled subset of targets, exactly
 // mirroring how the paper samples its error measurement for systems of 8M
-// particles and more. Modified charges are computed lazily, only for
-// clusters that appear on a sampled batch's interaction list.
-func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error) {
+// particles and more. Modified charges are computed lazily, only for the
+// not yet computed clusters on a sampled batch's interaction list, and are
+// published into st, so calls sharing a state (several kernels or MAC
+// parameters over one source tree and degree) compute each cluster once.
+func EvaluateSampled(pl *Plan, k kernel.Kernel, st *ChargeState, sample []int) ([]float64, error) {
+	st.checkGen(pl)
 	nTargets := pl.Batches.Targets.Len()
 	inv := pl.Batches.Perm.Inverse() // original index -> batch order index
 	// Locate the batch of every sampled target.
@@ -46,16 +49,15 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 	}
 	clusters := make([]int32, 0, len(needCluster))
 	for ci := range needCluster {
-		if pl.Clusters.Qhat[ci] == nil {
+		if st.Qhat[ci] == nil {
 			clusters = append(clusters, ci)
 		}
 	}
 	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
 	pool.Blocks(len(clusters), 0, func(_, lo, hi int) {
 		s := scratchPool.Get().(*chargeScratch)
-		for i := lo; i < hi; i++ {
-			ci := clusters[i]
-			pl.Clusters.computeChargesNode(pl.Sources.Particles, &pl.Sources.Nodes[ci], int(ci), s)
+		for _, ci := range clusters[lo:hi] {
+			st.computeNode(pl, int(ci), s)
 		}
 		scratchPool.Put(s)
 	})
@@ -72,6 +74,7 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
+	q := st.Q
 	order := make([]int, len(sample))
 	for i := range order {
 		order[i] = i
@@ -91,10 +94,10 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 			for _, ci := range pl.Lists.Direct[bi] {
 				nd := &pl.Sources.Nodes[ci]
 				tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ,
-					src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], src.Q[nd.Lo:nd.Hi], &t.Acc)
+					src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], q[nd.Lo:nd.Hi], &t.Acc)
 			}
 			for _, ci := range pl.Lists.Approx[bi] {
-				tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci], &t.Acc)
+				tk.EvalTileAccum(&t.TX, &t.TY, &t.TZ, cd.PX[ci], cd.PY[ci], cd.PZ[ci], st.Qhat[ci], &t.Acc)
 			}
 			for l := 0; l < n; l++ {
 				phi[order[i+l]] = t.Acc[l]

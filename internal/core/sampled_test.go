@@ -19,7 +19,7 @@ func TestEvaluateSampledMatchesFullRun(t *testing.T) {
 
 	pl2, _ := NewPlan(pts, pts, p)
 	sample := []int{0, 1, 999, 2500, 4999, 3123}
-	phi, err := EvaluateSampled(pl2, k, sample)
+	phi, err := EvaluateSampled(pl2, k, NewChargeState(pl2), sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,29 +33,31 @@ func TestEvaluateSampledMatchesFullRun(t *testing.T) {
 }
 
 func TestEvaluateSampledLazyCharges(t *testing.T) {
-	// Only clusters on sampled batches' lists get charges.
+	// Only clusters on sampled batches' lists get charges: the rest of the
+	// state's Qhat stays unpublished (nil).
 	pts := testParticles(t, 8000, 32)
 	p := Params{Theta: 0.5, Degree: 4, LeafSize: 100, BatchSize: 100}
 	pl, err := NewPlan(pts, pts, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, []int{42}); err != nil {
+	st := NewChargeState(pl)
+	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, st, []int{42}); err != nil {
 		t.Fatal(err)
 	}
-	computed := 0
-	for _, q := range pl.Clusters.Qhat {
-		if q != nil {
-			computed++
+	unpublished := 0
+	for _, q := range st.Qhat {
+		if q == nil {
+			unpublished++
 		}
 	}
-	if computed == 0 {
+	if unpublished == len(st.Qhat) {
 		t.Fatal("no charges computed at all")
 	}
-	if computed == len(pl.Clusters.Qhat) {
+	if unpublished == 0 {
 		t.Error("sampled evaluation computed charges for every cluster; laziness broken")
 	}
-	t.Logf("charges computed for %d/%d clusters", computed, len(pl.Clusters.Qhat))
+	t.Logf("charges computed for %d/%d clusters", len(st.Qhat)-unpublished, len(st.Qhat))
 }
 
 func TestEvaluateSampledRejectsBadIndices(t *testing.T) {
@@ -64,10 +66,11 @@ func TestEvaluateSampledRejectsBadIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, []int{500}); err == nil {
+	st := NewChargeState(pl)
+	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, st, []int{500}); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, []int{-1}); err == nil {
+	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, st, []int{-1}); err == nil {
 		t.Error("negative index accepted")
 	}
 }
@@ -79,11 +82,12 @@ func TestEvaluateSampledRepeatedCallsShareCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := kernel.Coulomb{}
-	a, err := EvaluateSampled(pl, k, []int{7, 2999})
+	st := NewChargeState(pl)
+	a, err := EvaluateSampled(pl, k, st, []int{7, 2999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateSampled(pl, k, []int{7, 2999})
+	b, err := EvaluateSampled(pl, k, st, []int{7, 2999})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,13 @@ import (
 // referenceListPhi evaluates every batch's interaction list through the
 // per-source scalar reference path (EvalDirectTarget/EvalApproxTarget) in
 // exactly the per-target add order the drivers guarantee, and returns the
-// potentials in original target order. The plan's modified charges must
-// already be computed.
+// potentials in original target order, for the build-time charges.
 func referenceListPhi(pl *Plan, k kernel.Kernel) []float64 {
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
+	st := NewChargeState(pl)
+	st.Compute(pl, 1)
 	phi := make([]float64, tg.Len())
 	for bi := range pl.Batches.Batches {
 		b := &pl.Batches.Batches[bi]
@@ -30,7 +31,7 @@ func referenceListPhi(pl *Plan, k kernel.Kernel) []float64 {
 		}
 		for _, ci := range pl.Lists.Approx[bi] {
 			for ti := b.Lo; ti < b.Hi; ti++ {
-				phi[ti] += EvalApproxTarget(k, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci])
+				phi[ti] += EvalApproxTarget(k, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], st.Qhat[ci])
 			}
 		}
 	}
@@ -48,6 +49,8 @@ func referenceListAbsStats(pl *Plan, k kernel.Kernel) (absSum []float64, count [
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
+	st := NewChargeState(pl)
+	st.Compute(pl, 1)
 	sum := make([]float64, tg.Len())
 	n := make([]int, tg.Len())
 	for bi := range pl.Batches.Batches {
@@ -62,7 +65,7 @@ func referenceListAbsStats(pl *Plan, k kernel.Kernel) (absSum []float64, count [
 			}
 		}
 		for _, ci := range pl.Lists.Approx[bi] {
-			px, py, pz, qhat := cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci]
+			px, py, pz, qhat := cd.PX[ci], cd.PY[ci], cd.PZ[ci], st.Qhat[ci]
 			for ti := b.Lo; ti < b.Hi; ti++ {
 				for j := range qhat {
 					sum[ti] += math.Abs(k.Eval(tg.X[ti], tg.Y[ti], tg.Z[ti], px[j], py[j], pz[j]) * qhat[j])

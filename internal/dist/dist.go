@@ -212,27 +212,22 @@ func Run(cfg Config, k kernel.Kernel, pts *particle.Set) (*Result, error) {
 		}
 
 		// --- Precompute: modified charges on the device. ---
+		// The rank's plan gets its interaction lists in part 2 below; the
+		// charge pass only reads its tree and grids.
+		pl := &core.Plan{Params: cfg.Params, Sources: t, Batches: batches, Clusters: cd}
+		qs := core.NewChargeState(pl)
 		dev.BeginPhase(hc.Now())
 		copyDone := dev.CopyIn(hc.Now(), 4*8*int64(local.Len()))
-		core.LaunchChargeKernels(cd, t, dev, hc, copyDone, cfg.Streams, cfg.ModelOnly)
+		core.LaunchChargeKernels(pl, qs, dev, hc, copyDone, cfg.Streams, cfg.ModelOnly)
 		hc.AdvanceTo(dev.Drain())
 		hc.AdvanceTo(dev.CopyOut(hc.Now(), cd.ChargesBytes()))
 		precompute := hc.Now() - setup1
 		tr.Span("precompute", trace.CatPhase, r.ID(), trace.TrackHost, setup1, hc.Now())
 
 		// --- Setup (part 2): windows, LET, interaction lists. ---
-		np := mac.InterpPoints()
-		var chargesFlat []float64
-		if cfg.ModelOnly {
-			chargesFlat = make([]float64, len(t.Nodes)*np)
-		} else {
-			var err error
-			chargesFlat, err = let.FlattenCharges(cd.Qhat, cfg.Params.Degree)
-			if err != nil {
-				return err
-			}
-		}
-		wins := let.Expose(r, t, chargesFlat, cfg.Params.Degree)
+		// The charge window is the state's node-major q-hat arena itself
+		// (all zeros in a model-only run).
+		wins := let.Expose(r, t, qs.FlatQhat(), cfg.Params.Degree)
 		r.Barrier() // all charges exposed before anyone gets them
 
 		getsBefore := r.Stats.GetBytes
@@ -290,7 +285,7 @@ func Run(cfg Config, k kernel.Kernel, pts *particle.Set) (*Result, error) {
 				ln.LaunchDirect(tg, b.Lo, b.Count(), src, nd.Lo, nd.Hi, phi)
 			}
 			for _, ci := range lists.Approx[bi] {
-				ln.LaunchApprox(tg, b.Lo, b.Count(), cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci], phi)
+				ln.LaunchApprox(tg, b.Lo, b.Count(), cd.PX[ci], cd.PY[ci], cd.PZ[ci], qs.Qhat[ci], phi)
 			}
 			if cfg.OverlapComm {
 				// Pipelined schedule: the local-list launches above needed

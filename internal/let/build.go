@@ -36,20 +36,6 @@ func InterleaveParticles(s *particle.Set) []float64 {
 	return out
 }
 
-// FlattenCharges concatenates per-node modified charges node-major. Every
-// node must carry exactly (degree+1)^3 values.
-func FlattenCharges(qhat [][]float64, degree int) ([]float64, error) {
-	np := (degree + 1) * (degree + 1) * (degree + 1)
-	out := make([]float64, 0, len(qhat)*np)
-	for i, q := range qhat {
-		if len(q) != np {
-			return nil, fmt.Errorf("let: node %d has %d charges, want %d", i, len(q), np)
-		}
-		out = append(out, q...)
-	}
-	return out, nil
-}
-
 // Expose collectively creates the five RMA windows from this rank's local
 // tree and charge data. Every rank must call it at the same point in its
 // execution. The charge slice is shared, not copied, so charges computed

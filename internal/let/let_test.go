@@ -89,20 +89,6 @@ func TestInterleaveParticles(t *testing.T) {
 	}
 }
 
-func TestFlattenCharges(t *testing.T) {
-	qhat := [][]float64{{1, 2, 3, 4, 5, 6, 7, 8}, {9, 10, 11, 12, 13, 14, 15, 16}}
-	flat, err := FlattenCharges(qhat, 1) // (1+1)^3 = 8 per node
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flat) != 16 || flat[0] != 1 || flat[8] != 9 {
-		t.Fatalf("flat = %v", flat)
-	}
-	if _, err := FlattenCharges([][]float64{{1, 2}}, 1); err == nil {
-		t.Error("wrong-size node accepted")
-	}
-}
-
 // buildWorkers is the worker count buildLETFixture passes to Build; the
 // determinism test overrides it to pin worker-count independence, every
 // other test runs with the default.

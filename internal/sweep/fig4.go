@@ -145,6 +145,7 @@ func RunFig4(cfg Fig4Config, progress io.Writer) (*Fig4Result, error) {
 		// Cluster grids and (lazily computed) modified charges depend only
 		// on the degree — they are shared across thetas and kernels.
 		cd := core.NewClusterData(t, n)
+		var qs *core.ChargeState
 		for _, theta := range cfg.Thetas {
 			mac := interaction.MAC{Theta: theta, Degree: n}
 			lists := interaction.BuildLists(batches, t, mac)
@@ -158,6 +159,9 @@ func RunFig4(cfg Fig4Config, progress io.Writer) (*Fig4Result, error) {
 				Lists:    lists,
 				Clusters: cd,
 			}
+			if qs == nil {
+				qs = core.NewChargeState(pl)
+			}
 			for _, k := range cfg.Kernels {
 				cpuTimes := core.ModelCPURun(pl, k, cfg.CPU)
 				dev := device.New(cfg.GPU, 0)
@@ -165,7 +169,7 @@ func RunFig4(cfg Fig4Config, progress io.Writer) (*Fig4Result, error) {
 					HostSpec:  cfg.CPU,
 					ModelOnly: true,
 				})
-				phi, err := core.EvaluateSampled(pl, k, sample)
+				phi, err := core.EvaluateSampled(pl, k, qs, sample)
 				if err != nil {
 					return nil, err
 				}

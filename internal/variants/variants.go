@@ -206,7 +206,11 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 	}
 	tcd := core.NewClusterData(tt, p.Degree)
 	scd := core.NewClusterData(st, p.Degree)
-	scd.ComputeCharges(st, 0) // upward pass: source modified charges
+	// Upward pass: source modified charges, through the same charge state
+	// every driver fills (the pass reads only the source tree and grids).
+	spl := &core.Plan{Params: p, Sources: st, Clusters: scd}
+	qs := core.NewChargeState(spl)
+	qs.Compute(spl, 0)
 
 	np := tcd.Grids[0].NumPoints()
 	phiHat := newClusterPotentials(tt, np)
@@ -228,14 +232,14 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 			case bigT && bigS:
 				// CC: proxies-to-proxies.
 				accumTiles(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
-					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si])
+					scd.PX[si], scd.PY[si], scd.PZ[si], qs.Qhat[si])
 				res.Stats.CCPairs++
-				res.Stats.CCInteractions += int64(np) * int64(len(scd.Qhat[si]))
+				res.Stats.CCInteractions += int64(np) * int64(len(qs.Qhat[si]))
 			case bigS:
 				// PC: targets of t against source proxies (the BLTC form).
 				tg := tt.Particles
 				accumTiles(tk, tg.X[t.Lo:t.Hi], tg.Y[t.Lo:t.Hi], tg.Z[t.Lo:t.Hi], phi[t.Lo:t.Hi],
-					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si])
+					scd.PX[si], scd.PY[si], scd.PZ[si], qs.Qhat[si])
 				res.Stats.PCPairs++
 				res.Stats.PCInteractions += int64(t.Count()) * int64(np)
 			case bigT:

@@ -17,13 +17,13 @@ import (
 //
 // The reuse contract:
 //
-//   - Stable: nothing mutates a Plan between NewPlan and an explicit
-//     Update call. Every solve keeps its mutable state (charges, modified
-//     charges, potentials) in per-call buffers.
-//   - Concurrent-safe: any number of goroutines may call Solve,
-//     SolveWithField (and NewSolverFromPlan-built solvers) on one Plan
-//     simultaneously. Update is the one exception — it mutates the plan
-//     and requires exclusive access; see Plan.Update.
+//   - Stable: no solve writes a Plan; only an explicit Update call does.
+//     Every solve keeps its mutable state (charges, modified charges,
+//     potentials) in per-call buffers.
+//   - Concurrent-safe: any number of goroutines may call Solve and
+//     SolveWithField on one Plan simultaneously. Update is the one
+//     exception — it mutates the plan and requires exclusive access; see
+//     Plan.Update.
 //   - Kernel-independent: the kernel is an argument of Solve, not of the
 //     Plan; switching kernels costs nothing.
 //   - Deterministic: for equal inputs, Plan.Solve returns potentials
@@ -69,7 +69,11 @@ func (pl *Plan) NumSources() int { return pl.core.Sources.Particles.Len() }
 // (given in the order the sources were passed to NewPlan) and returns the
 // potentials in the original target order. q == nil uses the charges the
 // sources carried at NewPlan. Only the modified-charge pass and the
-// potential evaluation run; no geometry is rebuilt.
+// potential evaluation run; no geometry is rebuilt. Called with a new q
+// every iteration, Solve is the matrix-vector product phi = G*q of the
+// dense interaction matrix G_ij = G(x_i, y_j) that an iterative (Krylov or
+// Jacobi) solver needs, e.g. in the boundary-integral Poisson-Boltzmann
+// application of the paper's reference [33].
 //
 // Solve is safe to call from any number of goroutines concurrently: the
 // plan is only read, and each call owns its charge state and output. For
@@ -164,10 +168,8 @@ type UpdateStats = core.UpdateStats
 // spans with drifter and violation counters.
 //
 // Update mutates the plan and requires exclusive access: no concurrent
-// Solve calls, and Solvers bound to the plan before the update panic on
-// their next use instead of returning stale results — rebind with
-// NewSolverFromPlan after updating. Plan.Solve and Plan.SolveWithField
-// create fresh per-call state and are always safe after Update returns.
+// Solve calls. Plan.Solve and Plan.SolveWithField create fresh per-call
+// state and are always safe after Update returns.
 func (pl *Plan) Update(x, y, z []float64) (UpdateStats, error) {
 	return pl.core.Update(x, y, z, pl.tracer)
 }

@@ -1,6 +1,7 @@
 package barytree_test
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -129,55 +130,93 @@ func TestPlanSolveConcurrent(t *testing.T) {
 	}
 }
 
-// TestSolverFromPlanSharesPlan builds two independent Solvers on one Plan
-// and checks they iterate independently with exact agreement against
-// Plan.Solve.
-func TestSolverFromPlanSharesPlan(t *testing.T) {
-	pts := barytree.UniformCube(2000, 65)
-	p := smallParams()
+// TestSolverLinearity checks Plan.Solve as the matvec of an iterative
+// solver: the treecode is linear in the charges,
+// G*(a*q1 + q2) = a*G*q1 + G*q2, up to floating-point reassociation. (The
+// barycentric compression is itself linear in q, so this holds to near
+// machine precision.)
+func TestSolverLinearity(t *testing.T) {
+	pts := barytree.UniformCube(2000, 44)
 	k := barytree.Coulomb()
-	pl, err := barytree.NewPlan(pts, pts, p)
+	pl, err := barytree.NewPlan(pts, pts, smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := barytree.NewSolverFromPlan(k, pl)
-	s2 := barytree.NewSolverFromPlan(k, pl)
-	if s1.Plan() != pl || s2.Plan() != pl {
-		t.Fatal("solvers do not share the plan")
-	}
-	rng := rand.New(rand.NewSource(66))
+	rng := rand.New(rand.NewSource(45))
 	q1 := make([]float64, pts.Len())
 	q2 := make([]float64, pts.Len())
+	comb := make([]float64, pts.Len())
 	for i := range q1 {
-		q1[i] = 2*rng.Float64() - 1
-		q2[i] = 2*rng.Float64() - 1
+		q1[i] = rng.NormFloat64()
+		q2[i] = rng.NormFloat64()
+		comb[i] = 3*q1[i] + q2[i]
 	}
-	got1, err := s1.MatVec(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := s2.MatVec(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want1, err := pl.Solve(k, q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, err := pl.Solve(k, q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want1 {
-		if got1[i] != want1[i] || got2[i] != want2[i] {
-			t.Fatalf("solver-from-plan mismatch at %d", i)
+	var phi [3][]float64
+	for i, q := range [][]float64{q1, q2, comb} {
+		if phi[i], err = pl.Solve(k, q); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// s1's state must be unaffected by s2's iteration: repeat without update.
-	again := s1.Potentials()
-	for i := range want1 {
-		if again[i] != want1[i] {
-			t.Fatalf("solver state perturbed by sibling at %d", i)
+	for i, got := range phi[2] {
+		want := 3*phi[0][i] + phi[1][i]
+		if d := (got - want) / (math.Abs(want) + 1); math.Abs(d) > 1e-10 {
+			t.Fatalf("linearity violated at %d: %g vs %g", i, got, want)
+		}
+	}
+}
+
+// TestSolverJacobiIterationConverges is a miniature boundary-integral
+// workflow: solve (I + c*G) q = b by Jacobi iteration with Plan.Solve as
+// the matvec. With small c the iteration contracts; convergence exercises
+// repeated charge updates on one plan.
+func TestSolverJacobiIterationConverges(t *testing.T) {
+	pts := barytree.UniformCube(1500, 46)
+	k := barytree.Yukawa(1.0)
+	pl, err := barytree.NewPlan(pts, pts, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = 1e-4
+	q := make([]float64, pts.Len())
+	for i := range q {
+		q[i] = 1 // b = 1
+	}
+	var residual float64
+	for iter := 0; iter < 25; iter++ {
+		gq, err := pl.Solve(k, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		residual = 0
+		for i := range q {
+			next := 1 - c*gq[i]
+			residual = math.Max(residual, math.Abs(next-q[i]))
+			q[i] = next
+		}
+		if residual < 1e-12 {
+			break
+		}
+	}
+	if residual > 1e-10 {
+		t.Errorf("Jacobi iteration did not converge: residual %.3g", residual)
+	}
+}
+
+// TestSolverRejectsWrongChargeCount checks that both plan solve paths
+// return an error, not a panic or a silent truncation, for a charge
+// vector of the wrong length.
+func TestSolverRejectsWrongChargeCount(t *testing.T) {
+	pts := barytree.UniformCube(100, 47)
+	pl, err := barytree.NewPlan(pts, pts, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{99, 101} {
+		if _, err := pl.Solve(barytree.Coulomb(), make([]float64, n)); err == nil {
+			t.Errorf("Solve accepted %d charges for 100 sources", n)
+		}
+		if _, err := pl.SolveWithField(barytree.Coulomb(), make([]float64, n)); err == nil {
+			t.Errorf("SolveWithField accepted %d charges for 100 sources", n)
 		}
 	}
 }

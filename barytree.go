@@ -161,8 +161,11 @@ func SolveCPU(k Kernel, targets, sources *Particles, p Params, workers int) (*Re
 	if err != nil {
 		return nil, err
 	}
-	r := core.RunCPU(pl, k, core.CPUOptions{Workers: workers})
-	return &Result{Phi: r.Phi, Times: r.Times}, nil
+	phi, err := core.Solve(pl, k, nil, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Phi: phi, Times: core.ModelCPURun(pl, k, perfmodel.CPUSpec{})}, nil
 }
 
 // GPUModel selects the modeled GPU for SolveDevice and SolveDistributed.
@@ -237,8 +240,8 @@ func SolveDevice(k Kernel, targets, sources *Particles, p Params, cfg DeviceConf
 type DistributedConfig struct {
 	// Ranks is the number of MPI ranks / GPUs (required, >= 1).
 	Ranks int
-	// GPU selects the per-rank device model (default P100, the paper's
-	// scaling testbed).
+	// GPU selects the per-rank device model (default TitanV; the paper's
+	// scaling testbed is P100).
 	GPU GPUModel
 	// OverlapComm enables the pipelined LET-exchange schedule (the
 	// paper's future-work extension): remote particle and charge data is
@@ -269,14 +272,10 @@ type DistributedResult struct {
 // coordinate bisection, per-rank local trees, one-sided RMA construction
 // of locally essential trees, and per-rank device evaluation (Section 3).
 func SolveDistributed(k Kernel, pts *Particles, p Params, cfg DistributedConfig) (*DistributedResult, error) {
-	gpu := perfmodel.P100()
-	if cfg.GPU == TitanV {
-		gpu = perfmodel.TitanV()
-	}
 	out, err := dist.Run(dist.Config{
 		Ranks:          cfg.Ranks,
 		Params:         p,
-		GPU:            gpu,
+		GPU:            cfg.GPU.spec(),
 		OverlapComm:    cfg.OverlapComm,
 		WorkersPerRank: cfg.WorkersPerRank,
 		Tracer:         cfg.Trace,
@@ -352,8 +351,11 @@ func SolveWithField(k Kernel, targets, sources *Particles, p Params) (*FieldResu
 	if err != nil {
 		return nil, err
 	}
-	r := core.RunCPUFields(pl, gk, core.CPUOptions{})
-	return &FieldResult{Phi: r.Phi, GX: r.GX, GY: r.GY, GZ: r.GZ, Times: r.Times}, nil
+	r, err := core.SolveFields(pl, gk, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &FieldResult{Phi: r.Phi, GX: r.GX, GY: r.GY, GZ: r.GZ, Times: core.ModelCPUFieldsRun(pl, gk)}, nil
 }
 
 // DirectField computes exact potentials and gradients by O(N^2) summation.

@@ -59,6 +59,37 @@ func TestSolveDistributed(t *testing.T) {
 	}
 }
 
+// TestSolveDistributedDefaultGPU pins DistributedConfig.GPU's documented
+// default: a zero-value GPU field models the Titan V exactly like an
+// explicit TitanV, and P100 models a different device.
+func TestSolveDistributedDefaultGPU(t *testing.T) {
+	pts := barytree.UniformCube(2000, 5)
+	k := barytree.Coulomb()
+	solve := func(cfg barytree.DistributedConfig) *barytree.DistributedResult {
+		t.Helper()
+		cfg.Ranks = 2
+		res, err := barytree.SolveDistributed(k, pts, smallParams(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	zero := solve(barytree.DistributedConfig{})
+	titan := solve(barytree.DistributedConfig{GPU: barytree.TitanV})
+	p100 := solve(barytree.DistributedConfig{GPU: barytree.P100})
+	if zero.Times != titan.Times {
+		t.Errorf("zero-value GPU Times %v, want explicit TitanV %v", zero.Times, titan.Times)
+	}
+	for r := range titan.RankTimes {
+		if zero.RankTimes[r] != titan.RankTimes[r] {
+			t.Errorf("rank %d: zero-value GPU %v, want explicit TitanV %v", r, zero.RankTimes[r], titan.RankTimes[r])
+		}
+	}
+	if p100.Times == titan.Times {
+		t.Errorf("P100 and TitanV model identical Times %v", p100.Times)
+	}
+}
+
 func TestCustomKernel(t *testing.T) {
 	// Kernel independence: a user-defined kernel goes through the same
 	// machinery with no kernel-specific code.

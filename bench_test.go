@@ -322,7 +322,7 @@ func BenchmarkTreeBuild100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Build(pts, 2000)
+		tree.BuildWorkers(pts, 2000, 0)
 	}
 }
 
@@ -331,20 +331,20 @@ func BenchmarkBatchBuild100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.BuildBatches(pts, 2000)
+		tree.BuildBatchesWorkers(pts, 2000, 0)
 	}
 }
 
 // BenchmarkClusterData50k isolates the interpolation-grid layout
-// (NewClusterData) that BenchmarkModifiedCharges used to fold in: arena
-// allocation plus parallel grid fill, no charge pass.
+// (NewClusterDataWorkers) that BenchmarkModifiedCharges used to fold in:
+// arena allocation plus parallel grid fill, no charge pass.
 func BenchmarkClusterData50k(b *testing.B) {
 	pts := barytree.UniformCube(50_000, 2)
-	t := tree.Build(pts, 2000)
+	t := tree.BuildWorkers(pts, 2000, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cd := core.NewClusterData(t, 8)
+		cd := core.NewClusterDataWorkers(t, 8, 0)
 		benchSink = cd.PX[0][0]
 	}
 }
@@ -359,8 +359,8 @@ func BenchmarkClusterData50k(b *testing.B) {
 func BenchmarkModifiedCharges(b *testing.B) {
 	const degree = 8
 	pts := barytree.UniformCube(50_000, 2)
-	t := tree.Build(pts, 2000)
-	pl := &core.Plan{Sources: t, Clusters: core.NewClusterData(t, degree)}
+	t := tree.BuildWorkers(pts, 2000, 0)
+	pl := &core.Plan{Sources: t, Clusters: core.NewClusterDataWorkers(t, degree, 0)}
 	st := core.NewChargeState(pl)
 	var points float64
 	for i := range t.Nodes {
@@ -651,8 +651,8 @@ func BenchmarkServeSolve20k(b *testing.B) {
 // byte-identical to serial; see the interaction package tests).
 func BenchmarkBuildLists100k(b *testing.B) {
 	pts := barytree.UniformCube(100_000, 13)
-	t := tree.Build(pts, 2000)
-	batches := tree.BuildBatches(pts, 2000)
+	t := tree.BuildWorkers(pts, 2000, 0)
+	batches := tree.BuildBatchesWorkers(pts, 2000, 0)
 	mac := interaction.MAC{Theta: 0.8, Degree: 6}
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()

@@ -273,7 +273,7 @@ func TestModuleLoads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module-wide type check in -short mode")
 	}
-	pkgs, err := testLoader(t).LoadAll()
+	pkgs, err := testLoader(t).LoadPattern("./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module-wide analysis in -short mode")
 	}
-	pkgs, err := testLoader(t).LoadAll()
+	pkgs, err := testLoader(t).LoadPattern("./...")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,16 +180,6 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	return pkg, nil
 }
 
-// LoadAll walks the module tree and loads every package, sorted by import
-// path. Hidden directories, testdata and vendor trees are skipped.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	dirs, err := l.packageDirs(l.ModuleDir)
-	if err != nil {
-		return nil, err
-	}
-	return l.loadDirs(dirs)
-}
-
 // LoadPattern resolves one command-line package argument: a directory
 // relative to the module root (or absolute), with an optional "/..." suffix
 // selecting the whole subtree. "./..." selects the module.

@@ -30,19 +30,13 @@ type ClusterData struct {
 	ptArena   []float64              // flattened coords, 3*(n+1)^3 per node
 }
 
-// NewClusterData lays out degree-n interpolation grids for every node of t
-// using all available cores; it is NewClusterDataWorkers with the default
-// worker count.
-func NewClusterData(t *tree.Tree, degree int) *ClusterData {
-	return NewClusterDataWorkers(t, degree, 0)
-}
-
-// NewClusterDataWorkers is NewClusterData with an explicit worker bound
-// (workers <= 0 selects GOMAXPROCS). Grids for independent nodes are filled
-// in parallel; the coordinate values are bit-identical to the serial
-// chebyshev.NewGrid3D + FlattenedPoints layout for every worker count —
-// each grid is an affine map of one cached cos(pi*k/n) table, the same
-// expression NewGrid1D evaluates per node.
+// NewClusterDataWorkers lays out degree-n interpolation grids for every
+// node of t with up to `workers` goroutines (<= 0 selects GOMAXPROCS).
+// Grids for independent nodes are filled in parallel; the coordinate
+// values are bit-identical to the serial chebyshev.NewGrid3D +
+// FlattenedPoints layout for every worker count — each grid is an affine
+// map of one cached cos(pi*k/n) table, the same expression NewGrid1D
+// evaluates per node.
 func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 	n := len(t.Nodes)
 	cd := &ClusterData{

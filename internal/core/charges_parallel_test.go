@@ -16,7 +16,7 @@ import (
 // them must be value-identical for every worker count.
 func TestNewClusterDataWorkersDeterministic(t *testing.T) {
 	pts := particle.UniformCube(5000, rand.New(rand.NewSource(6)))
-	tr := tree.Build(pts, 200)
+	tr := tree.BuildWorkers(pts, 200, 0)
 	charges := func(cd *ClusterData, workers int) [][]float64 {
 		pl := &Plan{Sources: tr, Clusters: cd}
 		st := NewChargeState(pl)
@@ -44,8 +44,8 @@ func TestNewClusterDataWorkersDeterministic(t *testing.T) {
 // reference per-node construction chebyshev.NewGrid3D + FlattenedPoints.
 func TestNewClusterDataMatchesLegacyLayout(t *testing.T) {
 	pts := particle.GaussianBlob(3000, 0.4, rand.New(rand.NewSource(8)))
-	tr := tree.Build(pts, 150)
-	cd := NewClusterData(tr, 5)
+	tr := tree.BuildWorkers(pts, 150, 0)
+	cd := NewClusterDataWorkers(tr, 5, 0)
 	for i := range tr.Nodes {
 		g := chebyshev.NewGrid3D(5, tr.Nodes[i].Box)
 		px, py, pz := g.FlattenedPoints()
@@ -92,8 +92,8 @@ func TestChargeStateArenaReuse(t *testing.T) {
 // arenas, no panic regardless of degree (the old per-node path never
 // validated degree on an empty tree).
 func TestNewClusterDataEmptyTree(t *testing.T) {
-	tr := tree.Build(particle.NewSet(0), 10)
-	cd := NewClusterData(tr, 0) // degree 0 must not panic with zero nodes
+	tr := tree.BuildWorkers(particle.NewSet(0), 10, 0)
+	cd := NewClusterDataWorkers(tr, 0, 0) // degree 0 must not panic with zero nodes
 	if len(cd.Grids) != 0 {
 		t.Fatalf("empty tree produced %d grids", len(cd.Grids))
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"barytree/internal/device"
@@ -12,13 +11,33 @@ import (
 	"barytree/internal/metrics"
 	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
-	"barytree/internal/pool"
 )
 
 func testParticles(t *testing.T, n int, seed int64) *particle.Set {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	return particle.UniformCube(n, rng)
+}
+
+// mustSolve runs Solve on the plan's build-time charges, failing the test
+// on error.
+func mustSolve(t *testing.T, pl *Plan, k kernel.Kernel, workers int) []float64 {
+	t.Helper()
+	phi, err := Solve(pl, k, nil, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phi
+}
+
+// mustSolveFields is mustSolve for SolveFields.
+func mustSolveFields(t *testing.T, pl *Plan, k kernel.GradKernel, workers int) FieldResult {
+	t.Helper()
+	res, err := SolveFields(pl, k, nil, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -67,8 +86,8 @@ func TestCPUMatchesDirectSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunCPU(pl, k, CPUOptions{})
-		e := metrics.RelErr2(ref, res.Phi)
+		res := mustSolve(t, pl, k, 0)
+		e := metrics.RelErr2(ref, res)
 		if e > tc.maxErr {
 			t.Errorf("theta=%g n=%d: error %.3g exceeds %.3g", tc.theta, tc.degree, e, tc.maxErr)
 		}
@@ -86,8 +105,8 @@ func TestCPUYukawaMatchesDirectSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunCPU(pl, k, CPUOptions{})
-	e := metrics.RelErr2(ref, res.Phi)
+	res := mustSolve(t, pl, k, 0)
+	e := metrics.RelErr2(ref, res)
 	if e > 1e-5 {
 		t.Errorf("yukawa error %.3g too large", e)
 	}
@@ -103,8 +122,8 @@ func TestErrorDecreasesWithDegree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunCPU(pl, k, CPUOptions{})
-		e := metrics.RelErr2(ref, res.Phi)
+		res := mustSolve(t, pl, k, 0)
+		e := metrics.RelErr2(ref, res)
 		// Convergence is fast but allow small non-monotonic wiggle near
 		// machine precision.
 		if e > prev*1.5 && e > 1e-12 {
@@ -127,8 +146,8 @@ func TestErrorIncreasesWithTheta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunCPU(pl, k, CPUOptions{})
-		errs = append(errs, metrics.RelErr2(ref, res.Phi))
+		res := mustSolve(t, pl, k, 0)
+		errs = append(errs, metrics.RelErr2(ref, res))
 	}
 	if !(errs[0] < errs[2]) {
 		t.Errorf("error at theta=0.3 (%.3g) should be below theta=0.9 (%.3g)", errs[0], errs[2])
@@ -144,7 +163,7 @@ func TestDeviceMatchesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu := RunCPU(plCPU, k, CPUOptions{})
+	cpu := mustSolve(t, plCPU, k, 0)
 
 	plGPU, err := NewPlan(pts, pts, p)
 	if err != nil {
@@ -155,7 +174,7 @@ func TestDeviceMatchesCPU(t *testing.T) {
 
 	// Same interaction lists, same arithmetic, different accumulation
 	// order: results agree to tight tolerance.
-	if e := metrics.RelErr2(cpu.Phi, gpu.Phi); e > 1e-13 {
+	if e := metrics.RelErr2(cpu, gpu.Phi); e > 1e-13 {
 		t.Errorf("device result deviates from CPU: rel err %.3g", e)
 	}
 }
@@ -171,14 +190,14 @@ func TestDeviceFasterThanCPUModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu := RunCPU(pl, k, CPUOptions{})
+	cpu := ModelCPURun(pl, k, perfmodel.CPUSpec{})
 	pl2, _ := NewPlan(pts, pts, p)
 	gpu := RunDevice(pl2, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{})
-	ratio := cpu.Times[perfmodel.PhaseCompute] / gpu.Times[perfmodel.PhaseCompute]
+	ratio := cpu[perfmodel.PhaseCompute] / gpu.Times[perfmodel.PhaseCompute]
 	if ratio < 40 {
 		t.Errorf("modeled GPU compute speedup %.1fx implausibly low", ratio)
 	}
-	t.Logf("modeled compute speedup %.0fx (total %.0fx)", ratio, cpu.Times.Total()/gpu.Times.Total())
+	t.Logf("modeled compute speedup %.0fx (total %.0fx)", ratio, cpu.Total()/gpu.Times.Total())
 }
 
 func TestAsyncStreamsReduceComputeTime(t *testing.T) {
@@ -251,12 +270,12 @@ func TestTargetsDifferentFromSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunCPU(pl, k, CPUOptions{})
-	if e := metrics.RelErr2(ref, res.Phi); e > 1e-5 {
+	res := mustSolve(t, pl, k, 0)
+	if e := metrics.RelErr2(ref, res); e > 1e-5 {
 		t.Errorf("disjoint targets/sources error %.3g too large", e)
 	}
-	if len(res.Phi) != targets.Len() {
-		t.Errorf("got %d potentials, want %d", len(res.Phi), targets.Len())
+	if len(res) != targets.Len() {
+		t.Errorf("got %d potentials, want %d", len(res), targets.Len())
 	}
 }
 
@@ -268,32 +287,27 @@ func TestSerialMatchesParallelCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := RunCPU(pl, k, CPUOptions{Workers: 1})
+	serial := mustSolve(t, pl, k, 1)
 	pl2, _ := NewPlan(pts, pts, p)
-	parallel := RunCPU(pl2, k, CPUOptions{Workers: 8})
-	for i := range serial.Phi {
-		if serial.Phi[i] != parallel.Phi[i] {
-			t.Fatalf("potential %d differs: serial %g parallel %g", i, serial.Phi[i], parallel.Phi[i])
+	parallel := mustSolve(t, pl2, k, 8)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("potential %d differs: serial %g parallel %g", i, serial[i], parallel[i])
 		}
 	}
 }
 
-// TestCPUOptionsDefaultWorkers pins the documented default of
-// CPUOptions.Workers: zero selects GOMAXPROCS (pool.Workers(n, 0)), not the
-// modeled CPU's core count, while the zero Spec still selects the modeled
-// X5650 that every modeled time is computed from. GOMAXPROCS is set away
-// from the X5650's 6 cores so the two readings cannot coincide.
-func TestCPUOptionsDefaultWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-	opt := CPUOptions{}
-	opt.defaults()
-	if opt.Spec != perfmodel.XeonX5650() {
-		t.Errorf("zero Spec resolved to %+v, want the X5650", opt.Spec)
+// TestModelCPURunDefaultSpec pins the modeled CPU of the one-shot Times: a
+// zero CPUSpec selects the paper's Xeon X5650.
+func TestModelCPURunDefaultSpec(t *testing.T) {
+	pts := testParticles(t, 2000, 13)
+	pl, err := NewPlan(pts, pts, Params{Theta: 0.7, Degree: 4, LeafSize: 100, BatchSize: 100})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range []int{1, 2, 64, 1000} {
-		if got, want := pool.Workers(n, opt.Workers), pool.Workers(n, 0); got != want {
-			t.Errorf("n=%d: CPUOptions{} runs %d workers, want pool.Workers(n, 0) = %d", n, got, want)
-		}
+	k := kernel.Coulomb{}
+	if got, want := ModelCPURun(pl, k, perfmodel.CPUSpec{}), ModelCPURun(pl, k, perfmodel.XeonX5650()); got != want {
+		t.Errorf("ModelCPURun zero spec %v, want X5650 %v", got, want)
 	}
 }
 

@@ -1,75 +1,44 @@
 package core
 
 import (
-	"time"
-
 	"barytree/internal/interaction"
 	"barytree/internal/kernel"
 	"barytree/internal/perfmodel"
 )
 
-// Result is the output of a treecode run.
-type Result struct {
-	// Phi holds the potentials in the caller's original target order.
-	Phi []float64
-	// Times are the modeled phase durations (the paper's setup /
-	// precompute / compute split) on the modeled architecture.
-	Times perfmodel.PhaseTimes
-	// Wall are the measured wall-clock phase durations of this process
-	// (host execution of the functional algorithm), for sanity checking;
-	// all reported figures use Times.
-	Wall perfmodel.PhaseTimes
-	// Interactions are the interaction-list statistics of the run.
-	Interactions interaction.Stats
-}
-
-// CPUOptions configure the CPU driver.
-type CPUOptions struct {
-	// Workers is the number of goroutines parallelizing over target
-	// batches, the analogue of the paper's OpenMP threads (one batch's
-	// interaction list per thread). 0 selects GOMAXPROCS; 1 is serial.
-	Workers int
-	// Spec is the modeled CPU. Zero value selects the paper's 6-core
-	// Xeon X5650.
-	Spec perfmodel.CPUSpec
-}
-
-func (o *CPUOptions) defaults() {
-	if o.Spec.Cores == 0 {
-		o.Spec = perfmodel.XeonX5650()
+// Solve is the CPU solve, the one composition behind Plan.Solve and the
+// one-shot barytree.Solve: a fresh ChargeState with source charges q
+// (original source order; nil keeps the charges the sources carried at
+// NewPlan), its modified charges, every batch's interaction list
+// (direct sums for near-field leaves, barycentric approximations for
+// well-separated clusters) parallelized over batches with up to `workers`
+// goroutines (<= 0 selects GOMAXPROCS), and the potentials scattered back
+// to the caller's target order. The plan is only read, so concurrent calls
+// are safe. Modeled times come from ModelCPURun, not from the run.
+func Solve(pl *Plan, k kernel.Kernel, q []float64, workers int) ([]float64, error) {
+	st, err := computedState(pl, q, workers)
+	if err != nil {
+		return nil, err
 	}
+	phi := make([]float64, pl.Batches.Targets.Len())
+	RunComputeState(pl, k, st, phi, workers)
+	out := make([]float64, len(phi))
+	pl.Batches.Perm.ScatterInto(out, phi)
+	return out, nil
 }
 
-// RunCPU evaluates the treecode plan on the CPU: modified charges for every
-// source cluster into a fresh ChargeState, then each batch's interaction
-// list (direct sums for near-field leaves, barycentric approximations for
-// well-separated clusters), parallelized over batches. It is Plan.Solve's
-// path — NewChargeState, Compute, RunComputeState, scatter — with modeled
-// and measured phase times around it.
-func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
-	opt.defaults()
-	res := &Result{Interactions: pl.Lists.Stats}
-	rate := opt.Spec.ParallelFlopRate()
-
-	// Setup phase (already executed during NewPlan; modeled from counters).
-	res.Times[perfmodel.PhaseSetup] = pl.SetupWork(opt.Spec)
-
-	// Precompute phase: modified charges.
-	start := time.Now()
+// computedState returns a fresh ChargeState for pl holding charges q
+// (original source order, nil for the plan's build-time charges) with
+// every node's modified charges computed.
+func computedState(pl *Plan, q []float64, workers int) (*ChargeState, error) {
 	st := NewChargeState(pl)
-	res.Times[perfmodel.PhasePrecompute] = st.Compute(pl, opt.Workers) / rate
-	res.Wall[perfmodel.PhasePrecompute] = time.Since(start).Seconds()
-
-	// Compute phase: walk every batch's interaction list.
-	start = time.Now()
-	phiBatch := make([]float64, pl.Batches.Targets.Len())
-	res.Times[perfmodel.PhaseCompute] = RunComputeState(pl, k, st, phiBatch, opt.Workers) / rate
-	res.Wall[perfmodel.PhaseCompute] = time.Since(start).Seconds()
-
-	// Map back to the caller's target order.
-	res.Phi = make([]float64, len(phiBatch))
-	pl.Batches.Perm.ScatterInto(res.Phi, phiBatch)
-	return res
+	if q != nil {
+		if err := st.SetCharges(pl, q); err != nil {
+			return nil, err
+		}
+	}
+	st.Compute(pl, workers)
+	return st, nil
 }
 
 // evalBatchLists accumulates batch bi's full interaction list into phi
@@ -131,7 +100,9 @@ func computeFlops(st interaction.Stats, k kernel.Kernel, arch kernel.Arch) float
 // ModelCPURun returns the modeled phase times of a CPU treecode run without
 // executing any kernels: setup from the plan's construction counters,
 // precompute from the modified-charge work, compute from the interaction
-// lists. It matches RunCPU's Times field exactly.
+// lists. A zero spec selects the paper's 6-core Xeon X5650. These are the
+// Times of the one-shot SolveCPU: the precompute term sums the same
+// per-node work in the same node order as ChargeState.Compute.
 func ModelCPURun(pl *Plan, k kernel.Kernel, spec perfmodel.CPUSpec) perfmodel.PhaseTimes {
 	if spec.Cores == 0 {
 		spec = perfmodel.XeonX5650()
@@ -141,6 +112,19 @@ func ModelCPURun(pl *Plan, k kernel.Kernel, spec perfmodel.CPUSpec) perfmodel.Ph
 	t[perfmodel.PhaseSetup] = pl.SetupWork(spec)
 	t[perfmodel.PhasePrecompute] = pl.Clusters.TotalChargeWork(pl.Sources) / rate
 	t[perfmodel.PhaseCompute] = computeFlops(pl.Lists.Stats, k, kernel.ArchCPU) / rate
+	return t
+}
+
+// ModelCPUFieldsRun is ModelCPURun on the Xeon X5650 for a
+// potentials-plus-gradients solve (SolveFields): the same setup and
+// precompute, and a compute phase of GradCost + 8 flop-equivalents per
+// interaction (the gradient evaluation plus four multiply-accumulates with
+// the charge). These are the Times of the one-shot SolveWithField.
+func ModelCPUFieldsRun(pl *Plan, k kernel.GradKernel) perfmodel.PhaseTimes {
+	spec := perfmodel.XeonX5650()
+	t := ModelCPURun(pl, k, spec)
+	t[perfmodel.PhaseCompute] =
+		float64(pl.Lists.Stats.TotalInteractions()) * (kernel.GradCost(k, kernel.ArchCPU) + 8) / spec.ParallelFlopRate()
 	return t
 }
 

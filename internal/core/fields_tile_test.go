@@ -66,7 +66,7 @@ func sameFields(t *testing.T, label string, got, want [4][]float64) {
 // TestTiledFieldsBitIdentical pins the tiled field path. For every
 // built-in gradient kernel, midpoint and Morton plans, a ragged batch size
 // (123 = 15 tiles plus a 3-target padded tail) and workers 1 and 3,
-// RunCPUFields and RunFieldsState with the assembly kernels installed must
+// SolveFields and RunFieldsState with the assembly kernels installed must
 // equal the same calls with them off, and both must equal the per-target
 // scalar reference (referenceListFields) with ==.
 func TestTiledFieldsBitIdentical(t *testing.T) {
@@ -94,7 +94,7 @@ func TestTiledFieldsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.Compute(pl, 1)
-		// RunCPUFields evaluates the build-time charges through its own
+		// SolveFields evaluates the build-time charges through its own
 		// state; the reference reads an equal one.
 		planQ := NewChargeState(pl)
 		planQ.Compute(pl, 1)
@@ -113,7 +113,7 @@ func TestTiledFieldsBitIdentical(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				label := k.Name() + " morton=" + strconv.FormatBool(morton) + " workers=" + strconv.Itoa(workers)
 				run := func() (cpu, state [4][]float64) {
-					res := RunCPUFields(pl, k, CPUOptions{Workers: workers})
+					res := mustSolveFields(t, pl, k, workers)
 					cpu = [4][]float64{res.Phi, res.GX, res.GY, res.GZ}
 					for o := range state {
 						state[o] = make([]float64, nt)
@@ -125,9 +125,9 @@ func TestTiledFieldsBitIdentical(t *testing.T) {
 				prev := kernel.SetAsmKernels(false)
 				cpuGo, stateGo := run()
 				kernel.SetAsmKernels(prev)
-				sameFields(t, label+" RunCPUFields asm vs pure-go", cpu, cpuGo)
+				sameFields(t, label+" SolveFields asm vs pure-go", cpu, cpuGo)
 				sameFields(t, label+" RunFieldsState asm vs pure-go", state, stateGo)
-				sameFields(t, label+" RunCPUFields vs scalar reference", cpu, want)
+				sameFields(t, label+" SolveFields vs scalar reference", cpu, want)
 				sameFields(t, label+" RunFieldsState vs scalar reference", state, wantState)
 			}
 		}

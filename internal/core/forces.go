@@ -2,7 +2,6 @@ package core
 
 import (
 	"barytree/internal/kernel"
-	"barytree/internal/perfmodel"
 	"barytree/internal/pool"
 )
 
@@ -11,41 +10,38 @@ import (
 type FieldResult struct {
 	Phi        []float64
 	GX, GY, GZ []float64 // gradient of phi at each target
-	Times      perfmodel.PhaseTimes
 }
 
-// RunCPUFields evaluates potentials and gradients for the plan on the CPU
-// backend: NewChargeState, Compute, RunFieldsState, scatter — the path of
-// Plan.SolveWithField. The modified charges are the ones used for
-// potentials (interpolation is in the source variable, so the gradient
-// with respect to the target needs no new cluster data).
-func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
-	opt.defaults()
-	rate := opt.Spec.ParallelFlopRate()
-	res := &FieldResult{}
-	res.Times[perfmodel.PhaseSetup] = pl.SetupWork(opt.Spec)
-
-	st := NewChargeState(pl)
-	res.Times[perfmodel.PhasePrecompute] = st.Compute(pl, opt.Workers) / rate
-
+// SolveFields is Solve for potentials and their gradients, the one
+// composition behind Plan.SolveWithField and the one-shot
+// barytree.SolveWithField: the same charge state and modified charges (the
+// interpolation is in the source variable, so the gradient with respect to
+// the target needs no new cluster data), then RunFieldsState and the
+// scatter to the caller's target order. Modeled times come from
+// ModelCPUFieldsRun.
+func SolveFields(pl *Plan, k kernel.GradKernel, q []float64, workers int) (FieldResult, error) {
+	st, err := computedState(pl, q, workers)
+	if err != nil {
+		return FieldResult{}, err
+	}
 	n := pl.Batches.Targets.Len()
 	phi := make([]float64, n)
 	gx := make([]float64, n)
 	gy := make([]float64, n)
 	gz := make([]float64, n)
-	RunFieldsState(pl, k, st, phi, gx, gy, gz, opt.Workers)
-	res.Times[perfmodel.PhaseCompute] =
-		float64(pl.Lists.Stats.TotalInteractions()) * (kernel.GradCost(k, kernel.ArchCPU) + 8) / rate
-
-	res.Phi = make([]float64, n)
-	res.GX = make([]float64, n)
-	res.GY = make([]float64, n)
-	res.GZ = make([]float64, n)
-	pl.Batches.Perm.ScatterInto(res.Phi, phi)
-	pl.Batches.Perm.ScatterInto(res.GX, gx)
-	pl.Batches.Perm.ScatterInto(res.GY, gy)
-	pl.Batches.Perm.ScatterInto(res.GZ, gz)
-	return res
+	RunFieldsState(pl, k, st, phi, gx, gy, gz, workers)
+	res := FieldResult{
+		Phi: make([]float64, n),
+		GX:  make([]float64, n),
+		GY:  make([]float64, n),
+		GZ:  make([]float64, n),
+	}
+	perm := pl.Batches.Perm
+	perm.ScatterInto(res.Phi, phi)
+	perm.ScatterInto(res.GX, gx)
+	perm.ScatterInto(res.GY, gy)
+	perm.ScatterInto(res.GZ, gz)
+	return res, nil
 }
 
 // evalBatchFields is the field-path twin of evalBatchLists: it

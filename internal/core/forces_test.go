@@ -7,6 +7,7 @@ import (
 	"barytree/internal/direct"
 	"barytree/internal/kernel"
 	"barytree/internal/metrics"
+	"barytree/internal/perfmodel"
 )
 
 func TestFieldsMatchDirectSum(t *testing.T) {
@@ -18,7 +19,7 @@ func TestFieldsMatchDirectSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunCPUFields(pl, k, CPUOptions{})
+	res := mustSolveFields(t, pl, k, 0)
 	if e := metrics.RelErr2(refPhi, res.Phi); e > 1e-5 {
 		t.Errorf("potential error %.3g", e)
 	}
@@ -39,7 +40,7 @@ func TestFieldsYukawa(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunCPUFields(pl, k, CPUOptions{})
+	res := mustSolveFields(t, pl, k, 0)
 	if e := metrics.RelErr2(refGX, res.GX); e > 1e-4 {
 		t.Errorf("yukawa gx error %.3g", e)
 	}
@@ -65,18 +66,18 @@ func TestFieldPhiMatchesPotentialOnlyPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		potOnly := RunCPU(pl1, k, CPUOptions{})
+		potOnly := mustSolve(t, pl1, k, 0)
 		pl2, _ := NewPlan(pts, pts, p)
-		fields := RunCPUFields(pl2, k, CPUOptions{})
+		fields := mustSolveFields(t, pl2, k, 0)
 		if _, ok := k.(kernel.Yukawa); ok {
-			if e := metrics.RelErr2(potOnly.Phi, fields.Phi); e > 1e-14 {
+			if e := metrics.RelErr2(potOnly, fields.Phi); e > 1e-14 {
 				t.Errorf("%s: field-path potential deviates: %.3g", k.Name(), e)
 			}
 			continue
 		}
-		for i := range potOnly.Phi {
-			if fields.Phi[i] != potOnly.Phi[i] {
-				t.Fatalf("%s target %d: field-path potential %v != potential-only %v", k.Name(), i, fields.Phi[i], potOnly.Phi[i])
+		for i := range potOnly {
+			if fields.Phi[i] != potOnly[i] {
+				t.Fatalf("%s target %d: field-path potential %v != potential-only %v", k.Name(), i, fields.Phi[i], potOnly[i])
 			}
 		}
 	}
@@ -92,7 +93,7 @@ func TestFieldGradientConvergesWithDegree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunCPUFields(pl, k, CPUOptions{})
+		res := mustSolveFields(t, pl, k, 0)
 		e := metrics.RelErr2(refGX, res.GX)
 		if e > prev*1.5 && e > 1e-12 {
 			t.Errorf("degree %d: gradient error %.3g did not decrease from %.3g", n, e, prev)
@@ -109,11 +110,10 @@ func TestFieldTimesExceedPotentialTimes(t *testing.T) {
 	pts := testParticles(t, 2000, 25)
 	k := kernel.Coulomb{}
 	p := Params{Theta: 0.7, Degree: 5, LeafSize: 100, BatchSize: 100}
-	pl1, _ := NewPlan(pts, pts, p)
-	pot := RunCPU(pl1, k, CPUOptions{})
-	pl2, _ := NewPlan(pts, pts, p)
-	fld := RunCPUFields(pl2, k, CPUOptions{})
-	if fld.Times.Total() <= pot.Times.Total() {
-		t.Errorf("field time %.4g not above potential time %.4g", fld.Times.Total(), pot.Times.Total())
+	pl, _ := NewPlan(pts, pts, p)
+	pot := ModelCPURun(pl, k, perfmodel.CPUSpec{})
+	fld := ModelCPUFieldsRun(pl, k)
+	if fld.Total() <= pot.Total() {
+		t.Errorf("field time %.4g not above potential time %.4g", fld.Total(), pot.Total())
 	}
 }

@@ -1,13 +1,21 @@
 package core
 
 import (
-	"time"
-
 	"barytree/internal/device"
 	"barytree/internal/kernel"
 	"barytree/internal/perfmodel"
 	"barytree/internal/trace"
 )
+
+// Result is the output of a simulated-GPU run.
+type Result struct {
+	// Phi holds the potentials in the caller's original target order (nil
+	// for a ModelOnly run).
+	Phi []float64
+	// Times are the modeled phase durations (the paper's setup /
+	// precompute / compute split) on the modeled architecture.
+	Times perfmodel.PhaseTimes
+}
 
 // DeviceOptions configure the simulated-GPU driver.
 type DeviceOptions struct {
@@ -52,7 +60,7 @@ func (o *DeviceOptions) defaults() {
 //	atomic accumulation; DtH copy of the potentials.
 func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions) *Result {
 	opt.defaults()
-	res := &Result{Interactions: pl.Lists.Stats}
+	res := &Result{}
 	streams := dev.Spec.Streams
 	if opt.Streams > 0 {
 		streams = opt.Streams
@@ -81,7 +89,6 @@ func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions)
 	}
 
 	// --- Precompute phase: modified charges on the device. ---
-	start := time.Now()
 	dev.BeginPhase(hc.Now())
 	nSrc := int64(pl.Sources.Particles.Len())
 	copyDone := dev.CopyIn(hc.Now(), 4*8*nSrc) // x, y, z, q
@@ -90,12 +97,10 @@ func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions)
 	hc.AdvanceTo(dev.Drain())
 	hc.AdvanceTo(dev.CopyOut(hc.Now(), pl.Clusters.ChargesBytes()))
 	res.Times[perfmodel.PhasePrecompute] = hc.Now() - res.Times[perfmodel.PhaseSetup]
-	res.Wall[perfmodel.PhasePrecompute] = time.Since(start).Seconds()
 	tr.Span("precompute", trace.CatPhase, dev.Rank, trace.TrackHost,
 		res.Times[perfmodel.PhaseSetup], hc.Now())
 
 	// --- Compute phase: potential evaluation on the device. ---
-	start = time.Now()
 	preEnd := hc.Now()
 	dev.BeginPhase(hc.Now())
 	nTg := int64(pl.Batches.Targets.Len())
@@ -124,7 +129,6 @@ func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions)
 	hc.AdvanceTo(dev.Drain())
 	hc.AdvanceTo(dev.CopyOut(hc.Now(), 8*nTg))
 	res.Times[perfmodel.PhaseCompute] = hc.Now() - preEnd
-	res.Wall[perfmodel.PhaseCompute] = time.Since(start).Seconds()
 	tr.Span("compute", trace.CatPhase, dev.Rank, trace.TrackHost, preEnd, hc.Now())
 
 	if !opt.ModelOnly {

@@ -29,14 +29,14 @@ type Params struct {
 	// for every value.
 	Workers int
 
-	// Morton selects the Morton-ordered canonical build (tree.BuildMorton)
-	// instead of the midpoint-split build. A Morton plan supports
-	// Plan.Update — in-place refit, incremental repair, or full rebuild
-	// after its particles move — because the whole structure is a pure
-	// function of the particle multiset; see internal/tree/morton.go. The
-	// two builds produce different (both valid) trees, so Morton changes
-	// result bits relative to the default build and participates in the
-	// serving layer's geometry hash.
+	// Morton selects the Morton-ordered canonical build
+	// (tree.BuildMortonWorkers) instead of the midpoint-split build. A
+	// Morton plan supports Plan.Update — in-place refit, incremental
+	// repair, or full rebuild after its particles move — because the whole
+	// structure is a pure function of the particle multiset; see
+	// internal/tree/morton.go. The two builds produce different (both
+	// valid) trees, so Morton changes result bits relative to the default
+	// build and participates in the serving layer's geometry hash.
 	Morton bool
 
 	// DriftTol is Plan.Update's refit tolerance: a particle may stray from

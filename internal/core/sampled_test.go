@@ -15,7 +15,7 @@ func TestEvaluateSampledMatchesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := RunCPU(pl, k, CPUOptions{})
+	full := mustSolve(t, pl, k, 0)
 
 	pl2, _ := NewPlan(pts, pts, p)
 	sample := []int{0, 1, 999, 2500, 4999, 3123}
@@ -26,8 +26,8 @@ func TestEvaluateSampledMatchesFullRun(t *testing.T) {
 	// Every target takes the same padded-tile lane computation in both
 	// drivers, so the sampled potentials equal the full run's bit for bit.
 	for i, idx := range sample {
-		if phi[i] != full.Phi[idx] {
-			t.Errorf("sample %d (target %d): %.17g != full %.17g", i, idx, phi[i], full.Phi[idx])
+		if phi[i] != full[idx] {
+			t.Errorf("sample %d (target %d): %.17g != full %.17g", i, idx, phi[i], full[idx])
 		}
 	}
 }
@@ -104,13 +104,13 @@ func TestTinyProblems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		res := RunCPU(pl, k, CPUOptions{})
+		res := mustSolve(t, pl, k, 0)
 		// Tiny systems are computed entirely directly: exact.
 		var want float64
 		for j := 1; j < n; j++ {
 			want += k.Eval(pts.X[0], pts.Y[0], pts.Z[0], pts.X[j], pts.Y[j], pts.Z[j]) * pts.Q[j]
 		}
-		orig0 := res.Phi[0]
+		orig0 := res[0]
 		if d := orig0 - want; d > 1e-12 || d < -1e-12 {
 			t.Errorf("n=%d: phi[0] = %g, want %g", n, orig0, want)
 		}
@@ -127,8 +127,8 @@ func TestSnappedVsUnsnappedAccuracyEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunCPU(pl, k, CPUOptions{})
-		errs = append(errs, res.Phi[0])
+		res := mustSolve(t, pl, k, 0)
+		errs = append(errs, res[0])
 	}
 	// All leaf sizes approximate the same sum: spot value within treecode
 	// tolerance of each other.
@@ -158,18 +158,53 @@ func TestFindBatch(t *testing.T) {
 	}
 }
 
+// lattice returns particles on a regular m x m x m grid spanning [-1,1]^3
+// with unit charges; deterministic, so every run hits the same exact
+// coordinate coincidences. The returned set has m^3 particles.
+func lattice(m int) *particle.Set {
+	s := particle.NewSet(m * m * m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			for k := 0; k < m; k++ {
+				coord := func(t int) float64 {
+					if m == 1 {
+						return 0
+					}
+					return -1 + 2*float64(t)/float64(m-1)
+				}
+				s.Append(coord(i), coord(j), coord(k), 1)
+			}
+		}
+	}
+	return s
+}
+
+func TestLattice(t *testing.T) {
+	s := lattice(3)
+	if s.Len() != 27 {
+		t.Fatalf("lattice has %d particles", s.Len())
+	}
+	b := s.Bounds()
+	if b.Lo.X != -1 || b.Hi.X != 1 {
+		t.Errorf("lattice bounds %v", b)
+	}
+	if s1 := lattice(1); s1.Len() != 1 || s1.At(0) != s1.Bounds().Center() {
+		t.Errorf("unit lattice %+v", s1)
+	}
+}
+
 func TestLatticeParticlesExerciseSingularities(t *testing.T) {
 	// A regular lattice guarantees many exact coordinate coincidences
 	// between particles and cluster box corners, stressing the removable
 	// singularity handling of Section 2.3.
-	pts := particle.Lattice(12) // 1728 points
+	pts := lattice(12) // 1728 points
 	k := kernel.Coulomb{}
 	pl, err := NewPlan(pts, pts, Params{Theta: 0.6, Degree: 4, LeafSize: 100, BatchSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunCPU(pl, k, CPUOptions{})
-	for i, v := range res.Phi {
+	res := mustSolve(t, pl, k, 0)
+	for i, v := range res {
 		if v != v { // NaN check
 			t.Fatalf("NaN potential at lattice point %d", i)
 		}
@@ -180,9 +215,9 @@ func TestLatticeParticlesExerciseSingularities(t *testing.T) {
 		for j := 0; j < pts.Len(); j++ {
 			want += k.Eval(pts.X[i], pts.Y[i], pts.Z[i], pts.X[j], pts.Y[j], pts.Z[j]) * pts.Q[j]
 		}
-		rel := (res.Phi[i] - want) / want
+		rel := (res[i] - want) / want
 		if rel > 1e-4 || rel < -1e-4 {
-			t.Errorf("lattice point %d: phi %.6g vs direct %.6g", i, res.Phi[i], want)
+			t.Errorf("lattice point %d: phi %.6g vs direct %.6g", i, res[i], want)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 // induce. Everything else a solve reads — tree, batches, interaction lists,
 // Chebyshev grids — lives in the Plan, which no solve writes (only
 // Plan.Update does), so any number of ChargeStates can evaluate against
-// one shared Plan concurrently. Every driver fills one: RunCPU, RunDevice,
-// the distributed ranks, EvaluateSampled, Plan.Solve and the serving
-// layer, which keeps one cached Plan per geometry and one ChargeState per
-// in-flight request.
+// one shared Plan concurrently. Every driver fills one: Solve and
+// SolveFields (behind Plan.Solve and Plan.SolveWithField), RunDevice, the
+// distributed ranks, EvaluateSampled and the serving layer, which keeps
+// one cached Plan per geometry and one ChargeState per in-flight request.
 //
 // A ChargeState must not be shared between concurrent solves; it is the
 // mutable state. Sequential reuse (an iterative solver calling
@@ -105,10 +105,7 @@ func (st *ChargeState) SetCharges(pl *Plan, q []float64) error {
 	if len(q) != src.Particles.Len() {
 		return fmt.Errorf("core: SetCharges got %d charges for %d sources", len(q), src.Particles.Len())
 	}
-	// Perm maps tree order -> original order.
-	for treeIdx, origIdx := range src.Perm {
-		st.Q[treeIdx] = q[origIdx]
-	}
+	src.Perm.GatherInto(st.Q, q) // Perm maps tree order -> original order
 	clear(st.Qhat)
 	return nil
 }

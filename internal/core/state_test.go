@@ -57,7 +57,7 @@ func TestUncomputedStatePanics(t *testing.T) {
 }
 
 // TestDriversShareOnePlan runs every driver concurrently on one Plan, each
-// goroutine with its own charge state and output: RunCPU, RunCPUFields,
+// goroutine with its own charge state and output: Solve, SolveFields,
 // functional RunDevice, EvaluateSampled and RunComputeState. No solve
 // writes the plan, so under -race this is the proof that the plan is
 // read-only; each result must also equal the same driver run alone.
@@ -69,8 +69,8 @@ func TestDriversShareOnePlan(t *testing.T) {
 	}
 	k := kernel.Coulomb{}
 	sample := []int{0, 17, 999, 1999}
-	want := RunCPU(pl, k, CPUOptions{Workers: 1}).Phi
-	wantFields := RunCPUFields(pl, k, CPUOptions{Workers: 1}).Phi
+	want := mustSolve(t, pl, k, 1)
+	wantFields := mustSolveFields(t, pl, k, 1).Phi
 
 	same := func(name string, got, want []float64) {
 		for i := range want {
@@ -85,8 +85,20 @@ func TestDriversShareOnePlan(t *testing.T) {
 		sampled[i] = want[s]
 	}
 	runs := map[string]func() ([]float64, []float64){
-		"RunCPU":       func() ([]float64, []float64) { return RunCPU(pl, k, CPUOptions{Workers: 2}).Phi, want },
-		"RunCPUFields": func() ([]float64, []float64) { return RunCPUFields(pl, k, CPUOptions{Workers: 2}).Phi, wantFields },
+		"Solve": func() ([]float64, []float64) {
+			phi, err := Solve(pl, k, nil, 2)
+			if err != nil {
+				t.Error(err)
+			}
+			return phi, want
+		},
+		"SolveFields": func() ([]float64, []float64) {
+			res, err := SolveFields(pl, k, nil, 2)
+			if err != nil {
+				t.Error(err)
+			}
+			return res.Phi, wantFields
+		},
 		"RunDevice": func() ([]float64, []float64) {
 			return RunDevice(pl, k, device.New(perfmodel.TitanV(), 2), DeviceOptions{}).Phi, want
 		},

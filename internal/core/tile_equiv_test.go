@@ -7,8 +7,42 @@ import (
 
 	"barytree/internal/device"
 	"barytree/internal/kernel"
+	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
 )
+
+// EvalDirectTarget computes the potential at one target due to direct
+// summation over source particles [cLo, cHi) — the body of one thread block
+// of the batch-cluster direct sum kernel (Figure 3b): the loop over sources
+// is what the GPU parallelizes over threads and reduces.
+//
+// This is the scalar reference path (one interface dispatch per pairwise
+// interaction). The drivers run the tiled path (TargetTile through a
+// kernel.TileKernel), which is bit-identical to it by the TileKernel
+// contract for exact kernels and within kernel.TileMaxULP otherwise; this
+// form remains the executable definition of that contract.
+func EvalDirectTarget(k kernel.Kernel, tg *particle.Set, ti int, src *particle.Set, cLo, cHi int) float64 {
+	tx, ty, tz := tg.X[ti], tg.Y[ti], tg.Z[ti]
+	var phi float64
+	for j := cLo; j < cHi; j++ {
+		phi += k.Eval(tx, ty, tz, src.X[j], src.Y[j], src.Z[j]) * src.Q[j]
+	}
+	return phi
+}
+
+// EvalApproxTarget computes the potential at one target due to the
+// barycentric particle-cluster approximation (equation (11)): a direct sum
+// over the cluster's Chebyshev points with modified charges. This identical
+// direct-sum structure is what makes the BLTC map efficiently onto GPUs.
+// Scalar reference path; the drivers run the tiled path.
+func EvalApproxTarget(k kernel.Kernel, tg *particle.Set, ti int, px, py, pz, qhat []float64) float64 {
+	tx, ty, tz := tg.X[ti], tg.Y[ti], tg.Z[ti]
+	var phi float64
+	for j := range qhat {
+		phi += k.Eval(tx, ty, tz, px[j], py[j], pz[j]) * qhat[j]
+	}
+	return phi
+}
 
 // referenceListPhi evaluates every batch's interaction list through the
 // per-source scalar reference path (EvalDirectTarget/EvalApproxTarget) in
@@ -118,7 +152,7 @@ func checkSolvePhi(t *testing.T, label string, pl *Plan, k kernel.Kernel, got, w
 }
 
 // TestTiledCPUPathBitIdenticalRagged is the full-solve guarantee for the
-// target-tiled compute phase: RunCPU — which evaluates TileWidth target
+// target-tiled compute phase: Solve — which evaluates TileWidth target
 // tiles per kernel dispatch and runs ragged batch tails as padded tiles —
 // matches the per-source scalar reference for batch sizes covering every
 // residue mod TileWidth and for all TileKernel resolutions
@@ -142,9 +176,9 @@ func TestTiledCPUPathBitIdenticalRagged(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := RunCPU(pl, k, CPUOptions{})
+				res := mustSolve(t, pl, k, 0)
 				want := referenceListPhi(pl, k)
-				checkSolvePhi(t, label+" batch="+strconv.Itoa(batch), pl, k, res.Phi, want)
+				checkSolvePhi(t, label+" batch="+strconv.Itoa(batch), pl, k, res, want)
 			}
 		}
 	}
@@ -173,7 +207,7 @@ func TestDeviceTiledBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpu := RunCPU(plCPU, k, CPUOptions{})
+		cpu := mustSolve(t, plCPU, k, 0)
 
 		plDev, err := NewPlan(pts, pts, p)
 		if err != nil {
@@ -181,10 +215,10 @@ func TestDeviceTiledBitIdentical(t *testing.T) {
 		}
 		dev := device.New(perfmodel.TitanV(), 0)
 		gpu := RunDevice(plDev, k, dev, DeviceOptions{})
-		for i := range cpu.Phi {
-			if gpu.Phi[i] != cpu.Phi[i] {
+		for i := range cpu {
+			if gpu.Phi[i] != cpu[i] {
 				t.Fatalf("kernel=%s target %d: device %v != cpu %v (diff %g)",
-					k.Name(), i, gpu.Phi[i], cpu.Phi[i], gpu.Phi[i]-cpu.Phi[i])
+					k.Name(), i, gpu.Phi[i], cpu[i], gpu.Phi[i]-cpu[i])
 			}
 		}
 

@@ -90,10 +90,3 @@ func evalTile(tk kernel.TileKernel, targets *particle.Set, idx []int, sources *p
 	tk.EvalTileAccum(&tx, &ty, &tz, sources.X, sources.Y, sources.Z, sources.Q, &acc)
 	copy(out, acc[:len(idx)])
 }
-
-// Interactions returns the number of kernel evaluations a full direct sum
-// performs; the performance model converts it to modeled time for the
-// Figure 4 reference lines.
-func Interactions(targets, sources *particle.Set) int64 {
-	return int64(targets.Len()) * int64(sources.Len())
-}

@@ -96,15 +96,6 @@ func TestDisjointTargetsSources(t *testing.T) {
 	}
 }
 
-func TestInteractions(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tg := particle.UniformCube(10, rng)
-	src := particle.UniformCube(20, rng)
-	if got := Interactions(tg, src); got != 200 {
-		t.Fatalf("Interactions = %d", got)
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	empty := particle.NewSet(0)
 	if got := Sum(kernel.Coulomb{}, empty, empty); len(got) != 0 {

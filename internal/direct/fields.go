@@ -21,19 +21,6 @@ func Fields(k kernel.GradKernel, targets, sources *particle.Set) (phi, gx, gy, g
 	return phi, gx, gy, gz
 }
 
-// FieldsAt computes potentials and gradients only at the sampled target
-// indices.
-func FieldsAt(k kernel.GradKernel, targets *particle.Set, sample []int, sources *particle.Set) (phi, gx, gy, gz []float64) {
-	phi = make([]float64, len(sample))
-	gx = make([]float64, len(sample))
-	gy = make([]float64, len(sample))
-	gz = make([]float64, len(sample))
-	for i, t := range sample {
-		phi[i], gx[i], gy[i], gz[i] = fieldAt(k, targets, t, sources)
-	}
-	return phi, gx, gy, gz
-}
-
 func fieldAt(k kernel.GradKernel, targets *particle.Set, i int, sources *particle.Set) (phi, gx, gy, gz float64) {
 	tx, ty, tz := targets.X[i], targets.Y[i], targets.Z[i]
 	for j := 0; j < sources.Len(); j++ {

@@ -55,20 +55,6 @@ func TestFieldsMatchFiniteDifferenceOfPotential(t *testing.T) {
 	}
 }
 
-func TestFieldsAtMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := particle.UniformCube(400, rng)
-	k := kernel.Coulomb{}
-	phi, gx, gy, gz := Fields(k, pts, pts)
-	sample := []int{0, 100, 399}
-	sp, sgx, sgy, sgz := FieldsAt(k, pts, sample, pts)
-	for i, idx := range sample {
-		if sp[i] != phi[idx] || sgx[i] != gx[idx] || sgy[i] != gy[idx] || sgz[i] != gz[idx] {
-			t.Fatalf("sampled field mismatch at %d", idx)
-		}
-	}
-}
-
 func TestFieldsEmptySources(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tg := particle.UniformCube(5, rng)

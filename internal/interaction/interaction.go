@@ -128,20 +128,14 @@ func (s *Stats) add(o Stats) {
 	s.DirectInteractions += o.DirectInteractions
 }
 
-// BuildLists runs the batch/cluster dual traversal for every target batch
-// against the source tree and returns the interaction lists, parallelized
-// over target batches on all cores. The result is byte-identical to a
-// serial build (BuildListsWorkers with one worker): each batch's traversal
-// is independent and fully determined by the batch, the tree and the MAC,
-// and the merged Stats are order-independent integer sums.
-func BuildLists(batches *tree.BatchSet, src *tree.Tree, mac MAC) *Lists {
-	return BuildListsWorkers(batches, src, mac, 0)
-}
-
-// BuildListsWorkers is BuildLists with an explicit worker bound
-// (workers <= 0 selects GOMAXPROCS, 1 is the serial build). Each worker
-// owns a contiguous range of batches and reuses one traversal stack across
-// them.
+// BuildListsWorkers runs the batch/cluster dual traversal for every target
+// batch against the source tree and returns the interaction lists,
+// parallelized over target batches with up to `workers` goroutines (<= 0
+// selects GOMAXPROCS, 1 is the serial build). Each worker owns a
+// contiguous range of batches and reuses one traversal stack across them.
+// The result is byte-identical for every worker count: each batch's
+// traversal is independent and fully determined by the batch, the tree and
+// the MAC, and the merged Stats are order-independent integer sums.
 func BuildListsWorkers(batches *tree.BatchSet, src *tree.Tree, mac MAC, workers int) *Lists {
 	nb := len(batches.Batches)
 	ls := &Lists{

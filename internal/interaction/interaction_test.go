@@ -62,7 +62,7 @@ func TestMACDecisionTable(t *testing.T) {
 
 func buildCase(n int, seed int64, leaf int) (*tree.BatchSet, *tree.Tree) {
 	pts := particle.UniformCube(n, rand.New(rand.NewSource(seed)))
-	return tree.BuildBatches(pts, leaf), tree.Build(pts, leaf)
+	return tree.BuildBatchesWorkers(pts, leaf, 0), tree.BuildWorkers(pts, leaf, 0)
 }
 
 func TestListsCoverAllSources(t *testing.T) {
@@ -70,7 +70,7 @@ func TestListsCoverAllSources(t *testing.T) {
 	// clusters' particles must cover every source exactly once.
 	batches, tr := buildCase(3000, 1, 100)
 	mac := MAC{Theta: 0.7, Degree: 3}
-	ls := BuildLists(batches, tr, mac)
+	ls := BuildListsWorkers(batches, tr, mac, 0)
 	for bi := range batches.Batches {
 		covered := make([]int, tr.Particles.Len())
 		for _, ci := range ls.Direct[bi] {
@@ -96,7 +96,7 @@ func TestListsCoverAllSources(t *testing.T) {
 func TestApproxClustersSatisfyMAC(t *testing.T) {
 	batches, tr := buildCase(3000, 2, 100)
 	mac := MAC{Theta: 0.6, Degree: 2}
-	ls := BuildLists(batches, tr, mac)
+	ls := BuildListsWorkers(batches, tr, mac, 0)
 	for bi := range batches.Batches {
 		b := &batches.Batches[bi]
 		for _, ci := range ls.Approx[bi] {
@@ -116,7 +116,7 @@ func TestApproxClustersSatisfyMAC(t *testing.T) {
 func TestStatsConsistent(t *testing.T) {
 	batches, tr := buildCase(2000, 3, 64)
 	mac := MAC{Theta: 0.8, Degree: 2}
-	ls := BuildLists(batches, tr, mac)
+	ls := BuildListsWorkers(batches, tr, mac, 0)
 	var approxPairs, directPairs int
 	var approxInter, directInter int64
 	np := int64(mac.InterpPoints())
@@ -146,8 +146,8 @@ func TestStatsConsistent(t *testing.T) {
 
 func TestLowerThetaMeansMoreDirectWork(t *testing.T) {
 	batches, tr := buildCase(4000, 4, 100)
-	tight := BuildLists(batches, tr, MAC{Theta: 0.3, Degree: 4})
-	loose := BuildLists(batches, tr, MAC{Theta: 0.9, Degree: 4})
+	tight := BuildListsWorkers(batches, tr, MAC{Theta: 0.3, Degree: 4}, 0)
+	loose := BuildListsWorkers(batches, tr, MAC{Theta: 0.9, Degree: 4}, 0)
 	if tight.Stats.DirectInteractions <= loose.Stats.DirectInteractions {
 		t.Errorf("theta=0.3 direct work %d should exceed theta=0.9's %d",
 			tight.Stats.DirectInteractions, loose.Stats.DirectInteractions)
@@ -162,7 +162,7 @@ func TestTreecodeBeatsDirectSum(t *testing.T) {
 	// grows with N; this is already visible at 50k).
 	n := 50000
 	batches, tr := buildCase(n, 5, 200)
-	ls := BuildLists(batches, tr, MAC{Theta: 0.8, Degree: 3})
+	ls := BuildListsWorkers(batches, tr, MAC{Theta: 0.8, Degree: 3}, 0)
 	n2 := int64(n) * int64(n)
 	if ls.Stats.TotalInteractions() >= n2/5 {
 		t.Errorf("treecode interactions %d not much below N^2 = %d", ls.Stats.TotalInteractions(), n2)
@@ -176,7 +176,7 @@ func TestPerTargetAdmitsNoMoreWork(t *testing.T) {
 	// avoid thread divergence.
 	batches, tr := buildCase(4000, 6, 100)
 	mac := MAC{Theta: 0.7, Degree: 3}
-	batched := BuildLists(batches, tr, mac).Stats
+	batched := BuildListsWorkers(batches, tr, mac, 0).Stats
 	perTarget := PerTargetStats(batches, tr, mac)
 	if perTarget.TotalInteractions() > batched.TotalInteractions() {
 		t.Errorf("per-target work %d exceeds batched %d",
@@ -190,9 +190,9 @@ func TestPerTargetAdmitsNoMoreWork(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	pts := particle.UniformCube(100, rand.New(rand.NewSource(7)))
-	batches := tree.BuildBatches(pts, 10)
-	empty := tree.Build(particle.NewSet(0), 10)
-	ls := BuildLists(batches, empty, MAC{Theta: 0.5, Degree: 2})
+	batches := tree.BuildBatchesWorkers(pts, 10, 0)
+	empty := tree.BuildWorkers(particle.NewSet(0), 10, 0)
+	ls := BuildListsWorkers(batches, empty, MAC{Theta: 0.5, Degree: 2}, 0)
 	if ls.Stats.TotalInteractions() != 0 {
 		t.Error("empty tree produced interactions")
 	}
@@ -215,10 +215,6 @@ func TestBuildListsWorkersDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("workers=%d: lists differ from serial build", workers)
 		}
-	}
-	// BuildLists is the parallel build.
-	if def := BuildLists(batches, tr, mac); !reflect.DeepEqual(serial, def) {
-		t.Errorf("BuildLists differs from serial build")
 	}
 }
 

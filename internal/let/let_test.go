@@ -18,7 +18,7 @@ import (
 
 func TestSerializeRoundTrip(t *testing.T) {
 	pts := particle.UniformCube(2000, rand.New(rand.NewSource(1)))
-	tr := tree.Build(pts, 100)
+	tr := tree.BuildWorkers(pts, 100, 0)
 	geomArr, topoArr, childArr := SerializeTree(tr)
 	v, err := Deserialize(geomArr, topoArr, childArr)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 
 func TestDeserializeRejectsCorruptArrays(t *testing.T) {
 	pts := particle.UniformCube(200, rand.New(rand.NewSource(2)))
-	tr := tree.Build(pts, 50)
+	tr := tree.BuildWorkers(pts, 50, 0)
 	geomArr, topoArr, childArr := SerializeTree(tr)
 
 	if _, err := Deserialize(geomArr[:len(geomArr)-1], topoArr, childArr); err == nil {
@@ -89,7 +89,7 @@ func TestInterleaveParticles(t *testing.T) {
 	}
 }
 
-// buildWorkers is the worker count buildLETFixture passes to Build; the
+// buildWorkers is the worker count buildLETFixture passes to BuildAsync; the
 // determinism test overrides it to pin worker-count independence, every
 // other test runs with the default.
 var buildWorkers = 0
@@ -106,7 +106,7 @@ func buildLETFixture(t *testing.T, n, ranks int, mac interaction.MAC,
 	trees := make([]*tree.Tree, ranks)
 	for r := 0; r < ranks; r++ {
 		locals[r], _ = dec.Extract(pts, r)
-		trees[r] = tree.Build(locals[r], 60)
+		trees[r] = tree.BuildWorkers(locals[r], 60, 0)
 	}
 	np := mac.InterpPoints()
 	err := mpisim.Run(ranks, perfmodel.CometIB(), func(r *mpisim.Rank) error {
@@ -121,11 +121,12 @@ func buildLETFixture(t *testing.T, n, ranks int, mac interaction.MAC,
 		}
 		wins := Expose(r, tr, flat, mac.Degree)
 		r.Barrier()
-		batches := tree.BuildBatches(locals[r.ID()], 60)
-		l, err := Build(r, wins, batches, mac, buildWorkers)
+		batches := tree.BuildBatchesWorkers(locals[r.ID()], 60, 0)
+		l, fetch, err := BuildAsync(r, wins, batches, mac, buildWorkers)
 		if err != nil {
 			return err
 		}
+		fetch.WaitAll()
 		check(r, l, locals, trees)
 		return nil
 	})
@@ -197,7 +198,7 @@ func TestLETClusterPointsMatchRemoteGrids(t *testing.T) {
 func TestLETListsSatisfyMAC(t *testing.T) {
 	mac := interaction.MAC{Theta: 0.6, Degree: 2}
 	buildLETFixture(t, 5000, 4, mac, func(r *mpisim.Rank, l *LET, locals []*particle.Set, trees []*tree.Tree) {
-		batches := tree.BuildBatches(locals[r.ID()], 60)
+		batches := tree.BuildBatchesWorkers(locals[r.ID()], 60, 0)
 		for bi := range batches.Batches {
 			b := &batches.Batches[bi]
 			for _, li := range l.Approx[bi] {
@@ -225,7 +226,7 @@ func TestLETCoversAllRemoteParticles(t *testing.T) {
 				remoteTotal += locals[q].Len()
 			}
 		}
-		batches := tree.BuildBatches(locals[r.ID()], 60)
+		batches := tree.BuildBatchesWorkers(locals[r.ID()], 60, 0)
 		for bi := range batches.Batches {
 			covered := 0
 			for _, li := range l.Direct[bi] {
@@ -283,7 +284,7 @@ func TestGeomBoxRoundTripThroughWindow(t *testing.T) {
 	s.Append(0, 0, 0, 1)
 	s.Append(1, 2, 3, -1)
 	s.Append(0.5, 1, 1.5, 0.25)
-	tr := tree.Build(s, 10)
+	tr := tree.BuildWorkers(s, 10, 0)
 	g, tp, ch := SerializeTree(tr)
 	if len(g) != GeomStride || len(tp) != TopoStride || len(ch) != 0 {
 		t.Fatalf("unexpected array sizes %d %d %d", len(g), len(tp), len(ch))

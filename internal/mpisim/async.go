@@ -34,9 +34,6 @@ type Request struct {
 	done                      bool
 }
 
-// Target returns the target rank of the operation.
-func (rq *Request) Target() int { return rq.target }
-
 // Bytes returns the payload size of the operation.
 func (rq *Request) Bytes() int { return rq.bytes }
 
@@ -129,16 +126,4 @@ func (r *Rank) Flush() float64 {
 			trace.A("ops", n), trace.A("stall", stall))
 	}
 	return stall
-}
-
-// PendingOps returns the number of nonblocking operations issued and not
-// yet completed by Wait or Flush.
-func (r *Rank) PendingOps() int {
-	n := 0
-	for _, rq := range r.pending {
-		if !rq.done {
-			n++
-		}
-	}
-	return n
 }

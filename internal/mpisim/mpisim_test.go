@@ -91,29 +91,6 @@ func TestWindowGetPut(t *testing.T) {
 	}
 }
 
-func TestWindowPutVisibleToOwner(t *testing.T) {
-	err := Run(2, testNet(), func(r *Rank) error {
-		local := make([]int64, 4)
-		w := NewWindow(r, local)
-		r.Barrier()
-		if r.ID() == 0 {
-			w.Lock(1)
-			w.Put(r, 1, 2, []int64{42, 43})
-			w.Unlock(1)
-		}
-		r.Barrier()
-		if r.ID() == 1 {
-			if local[2] != 42 || local[3] != 43 {
-				return fmt.Errorf("put not visible: %v", local)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGetAdvancesClock(t *testing.T) {
 	net := testNet()
 	err := Run(2, net, func(r *Rank) error {
@@ -190,38 +167,6 @@ func TestMultipleWindowsMatchByOrder(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	err := Run(5, testNet(), func(r *Rank) error {
-		vals := AllGather(r, r.ID()*r.ID(), 8)
-		for q, v := range vals {
-			if v != q*q {
-				return fmt.Errorf("rank %d: slot %d = %d, want %d", r.ID(), q, v, q*q)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllReduce(t *testing.T) {
-	err := Run(6, testNet(), func(r *Rank) error {
-		sum := AllReduceSum(r, float64(r.ID()))
-		if sum != 15 {
-			return fmt.Errorf("sum=%g want 15", sum)
-		}
-		max := AllReduceMax(r, float64(r.ID()%4))
-		if max != 3 {
-			return fmt.Errorf("max=%g want 3", max)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSingleRankCommIsFree(t *testing.T) {
 	err := Run(1, testNet(), func(r *Rank) error {
 		w := NewWindow(r, []float64{7})
@@ -274,39 +219,6 @@ func TestWindowTypeMismatchPanics(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestPutThenGetRoundTrip(t *testing.T) {
-	err := Run(4, testNet(), func(r *Rank) error {
-		w := NewWindow(r, make([]float64, 16))
-		r.Barrier()
-		// Each rank writes its signature into every other rank's window
-		// at its own offset.
-		for q := 0; q < r.Size(); q++ {
-			if q == r.ID() {
-				continue
-			}
-			w.Lock(q)
-			w.Put(r, q, r.ID()*4, []float64{float64(r.ID()), float64(r.ID() + 10), 0, 0})
-			w.Unlock(q)
-		}
-		r.Barrier()
-		// Read everything back from rank (ID+1) % size.
-		q := (r.ID() + 1) % r.Size()
-		got := w.GetAll(r, q)
-		for p := 0; p < r.Size(); p++ {
-			if p == q {
-				continue
-			}
-			if got[p*4] != float64(p) || got[p*4+1] != float64(p+10) {
-				return fmt.Errorf("rank %d reading rank %d: slot %d = %v", r.ID(), q, p, got[p*4:p*4+2])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestConcurrentGetsSafe(t *testing.T) {

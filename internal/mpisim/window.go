@@ -10,7 +10,7 @@ import (
 
 // Window is a typed one-sided RMA window, the analogue of an MPI-3 memory
 // window used with passive target synchronization. Each rank exposes a
-// local slice; any rank may Lock a target rank's window, Get or Put data
+// local slice; any rank may Lock a target rank's window, Get data
 // with no involvement from the target, and Unlock. Creation is collective.
 //
 // The element size used for the communication cost model is derived from T.
@@ -42,8 +42,7 @@ func (ws *winShared[T]) abort() {
 // Every rank must call NewWindow in the same order with the same type T;
 // windows are matched across ranks by creation order, exactly like MPI
 // window creation over a communicator. The local slice is shared, not
-// copied: remote Puts become visible to the owner (after its next access)
-// and local writes become visible to remote Gets, matching passive RMA
+// copied: local writes become visible to remote Gets, matching passive RMA
 // semantics at barrier granularity.
 func NewWindow[T any](r *Rank, local []T) *Window[T] {
 	seq := r.winSeq
@@ -137,27 +136,6 @@ func (w *Window[T]) Get(r *Rank, target, offset int, dst []T) {
 	r.Tracer.Span("rma.get", trace.CatComm, r.id, trace.TrackNet, start, r.Clock.Now(),
 		trace.A("target", target), trace.A("bytes", nbytes))
 	r.Tracer.Add("rma.get_bytes", float64(nbytes))
-}
-
-// Put copies src into the target rank's window starting at offset,
-// advancing the origin's clock by the modeled transfer time (queued behind
-// any in-flight nonblocking operations). The caller must hold the
-// target's lock.
-func (w *Window[T]) Put(r *Rank, target, offset int, src []T) {
-	dst := w.shared.data[target]
-	if offset < 0 || offset+len(src) > len(dst) {
-		panic(fmt.Sprintf("mpisim: Put [%d,%d) out of window bounds [0,%d) on rank %d",
-			offset, offset+len(src), len(dst), target))
-	}
-	copy(dst[offset:offset+len(src)], src)
-	nbytes := len(src) * w.elemSize
-	r.Stats.Puts++
-	r.Stats.PutBytes += int64(nbytes)
-	start := r.Clock.Now()
-	r.completeTransfer(target, nbytes)
-	r.Tracer.Span("rma.put", trace.CatComm, r.id, trace.TrackNet, start, r.Clock.Now(),
-		trace.A("target", target), trace.A("bytes", nbytes))
-	r.Tracer.Add("rma.put_bytes", float64(nbytes))
 }
 
 // GetAll locks, gets the target's entire window into a new slice, and

@@ -174,22 +174,6 @@ func UniformCube(n int, rng *rand.Rand) *Set {
 	return s
 }
 
-// UniformBox returns n particles uniformly random in the box b with charges
-// uniform on [-1,1].
-func UniformBox(n int, b geom.Box, rng *rand.Rand) *Set {
-	s := NewSet(n)
-	sz := b.Size()
-	for i := 0; i < n; i++ {
-		s.Append(
-			b.Lo.X+sz.X*rng.Float64(),
-			b.Lo.Y+sz.Y*rng.Float64(),
-			b.Lo.Z+sz.Z*rng.Float64(),
-			2*rng.Float64()-1,
-		)
-	}
-	return s
-}
-
 // Plummer returns n equal-mass particles drawn from the Plummer sphere with
 // scale radius a, the classic gravitational N-body test distribution. Each
 // particle carries mass 1/n.
@@ -224,27 +208,6 @@ func GaussianBlob(n int, sigma float64, rng *rand.Rand) *Set {
 			sigma*rng.NormFloat64(),
 			2*rng.Float64()-1,
 		)
-	}
-	return s
-}
-
-// Lattice returns particles on a regular m x m x m grid spanning [-1,1]^3
-// with unit charges; deterministic, used by accuracy golden tests. The
-// returned set has m^3 particles.
-func Lattice(m int) *Set {
-	s := NewSet(m * m * m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			for k := 0; k < m; k++ {
-				coord := func(t int) float64 {
-					if m == 1 {
-						return 0
-					}
-					return -1 + 2*float64(t)/float64(m-1)
-				}
-				s.Append(coord(i), coord(j), coord(k), 1)
-			}
-		}
 	}
 	return s
 }

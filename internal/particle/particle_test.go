@@ -97,20 +97,6 @@ func TestUniformCubeBounds(t *testing.T) {
 	}
 }
 
-func TestUniformBox(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	b := NewSet(0).Bounds() // empty box; build target box manually below
-	_ = b
-	s := UniformCube(10, rng)
-	box := s.Bounds()
-	u := UniformBox(500, box, rng)
-	for i := 0; i < u.Len(); i++ {
-		if !box.Contains(u.At(i)) {
-			t.Fatalf("particle %d at %v outside box %v", i, u.At(i), box)
-		}
-	}
-}
-
 func TestPlummer(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := Plummer(20000, 1, rng)
@@ -143,20 +129,6 @@ func TestGaussianBlobCentered(t *testing.T) {
 	n := float64(s.Len())
 	if math.Abs(mx/n) > 0.02 || math.Abs(my/n) > 0.02 || math.Abs(mz/n) > 0.02 {
 		t.Errorf("blob mean (%.3g, %.3g, %.3g) not near origin", mx/n, my/n, mz/n)
-	}
-}
-
-func TestLattice(t *testing.T) {
-	s := Lattice(3)
-	if s.Len() != 27 {
-		t.Fatalf("lattice has %d particles", s.Len())
-	}
-	b := s.Bounds()
-	if b.Lo.X != -1 || b.Hi.X != 1 {
-		t.Errorf("lattice bounds %v", b)
-	}
-	if s1 := Lattice(1); s1.Len() != 1 || s1.At(0) != s1.Bounds().Center() {
-		t.Errorf("unit lattice %+v", s1)
 	}
 }
 

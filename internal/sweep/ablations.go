@@ -97,11 +97,11 @@ func (r BatchMACResult) WorkOverhead() float64 {
 // RunBatchMAC executes the batch-vs-per-target MAC ablation.
 func RunBatchMAC(cfg AblationConfig) (*BatchMACResult, error) {
 	pts := cfg.particles()
-	t := tree.Build(pts, cfg.Params.LeafSize)
-	b := tree.BuildBatches(pts, cfg.Params.BatchSize)
+	t := tree.BuildWorkers(pts, cfg.Params.LeafSize, 0)
+	b := tree.BuildBatchesWorkers(pts, cfg.Params.BatchSize, 0)
 	mac := cfg.Params.MAC()
 	return &BatchMACResult{
-		Batched:   interaction.BuildLists(b, t, mac).Stats,
+		Batched:   interaction.BuildListsWorkers(b, t, mac, 0).Stats,
 		PerTarget: interaction.PerTargetStats(b, t, mac),
 	}, nil
 }
@@ -124,8 +124,8 @@ type SizeCheckResult struct {
 func RunSizeCheck(cfg AblationConfig) (*SizeCheckResult, error) {
 	pts := cfg.particles()
 	leaf := cfg.Params.MAC().InterpPoints() / 2
-	t := tree.Build(pts, leaf)
-	b := tree.BuildBatches(pts, leaf)
+	t := tree.BuildWorkers(pts, leaf, 0)
+	b := tree.BuildBatchesWorkers(pts, leaf, 0)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	sample := metrics.SampleIndices(cfg.N, 100, rng)
 	ref := direct.SumAt(cfg.Kernel, pts, sample, pts)
@@ -134,13 +134,13 @@ func RunSizeCheck(cfg AblationConfig) (*SizeCheckResult, error) {
 	for _, disable := range []bool{false, true} {
 		mac := cfg.Params.MAC()
 		mac.DisableSizeCheck = disable
-		lists := interaction.BuildLists(b, t, mac)
+		lists := interaction.BuildListsWorkers(b, t, mac, 0)
 		pl := &core.Plan{
 			Params:   cfg.Params,
 			Sources:  t,
 			Batches:  b,
 			Lists:    lists,
-			Clusters: core.NewClusterData(t, cfg.Params.Degree),
+			Clusters: core.NewClusterDataWorkers(t, cfg.Params.Degree, 0),
 		}
 		phi, err := core.EvaluateSampled(pl, cfg.Kernel, core.NewChargeState(pl), sample)
 		if err != nil {
@@ -215,8 +215,8 @@ func RunAspectRatio(cfg AblationConfig) (*AspectRatioResult, error) {
 		old := tree.MaxAspectRatio
 		tree.MaxAspectRatio = ratio
 		defer func() { tree.MaxAspectRatio = old }()
-		t := tree.Build(pts, cfg.Params.LeafSize)
-		b := tree.BuildBatches(pts, cfg.Params.BatchSize)
+		t := tree.BuildWorkers(pts, cfg.Params.LeafSize, 0)
+		b := tree.BuildBatchesWorkers(pts, cfg.Params.BatchSize, 0)
 		var maxAR float64
 		for i := range t.Nodes {
 			if t.Nodes[i].IsLeaf() {
@@ -225,7 +225,7 @@ func RunAspectRatio(cfg AblationConfig) (*AspectRatioResult, error) {
 				}
 			}
 		}
-		return interaction.BuildLists(b, t, mac).Stats, maxAR
+		return interaction.BuildListsWorkers(b, t, mac, 0).Stats, maxAR
 	}
 
 	res := &AspectRatioResult{}

@@ -120,8 +120,8 @@ type Fig4Result struct {
 func RunFig4(cfg Fig4Config, progress io.Writer) (*Fig4Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pts := particle.UniformCube(cfg.N, rng)
-	t := tree.Build(pts, cfg.BatchSize)
-	batches := tree.BuildBatches(pts, cfg.BatchSize)
+	t := tree.BuildWorkers(pts, cfg.BatchSize, 0)
+	batches := tree.BuildBatchesWorkers(pts, cfg.BatchSize, 0)
 
 	var sample []int
 	if cfg.SampleBatches > 0 {
@@ -144,11 +144,11 @@ func RunFig4(cfg Fig4Config, progress io.Writer) (*Fig4Result, error) {
 	for _, n := range cfg.Degrees {
 		// Cluster grids and (lazily computed) modified charges depend only
 		// on the degree — they are shared across thetas and kernels.
-		cd := core.NewClusterData(t, n)
+		cd := core.NewClusterDataWorkers(t, n, 0)
 		var qs *core.ChargeState
 		for _, theta := range cfg.Thetas {
 			mac := interaction.MAC{Theta: theta, Degree: n}
-			lists := interaction.BuildLists(batches, t, mac)
+			lists := interaction.BuildListsWorkers(batches, t, mac, 0)
 			pl := &core.Plan{
 				Params: core.Params{
 					Theta: theta, Degree: n,

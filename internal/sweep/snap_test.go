@@ -25,7 +25,7 @@ func TestSnapLeafSizeProducesNearTargetLeaves(t *testing.T) {
 	for _, n := range []int{30_000, 100_000, 200_000, 500_000} {
 		leaf := SnapLeafSize(n, 2000)
 		pts := particle.UniformCube(n, rng)
-		tr := tree.Build(pts, leaf)
+		tr := tree.BuildWorkers(pts, leaf, 0)
 		var total, count int
 		for _, li := range tr.Leaves() {
 			total += tr.Nodes[li].Count()

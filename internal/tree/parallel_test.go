@@ -217,7 +217,7 @@ func TestBuildWorkersFastPaths(t *testing.T) {
 // construction-order leaf walk.
 func TestLeavesPreallocated(t *testing.T) {
 	pts := particle.UniformCube(3000, rand.New(rand.NewSource(9)))
-	tr := Build(pts, 100)
+	tr := BuildWorkers(pts, 100, 0)
 	leaves := tr.Leaves()
 	if len(leaves) != tr.Stats.Leaves || cap(leaves) != tr.Stats.Leaves {
 		t.Fatalf("Leaves len=%d cap=%d, want both %d", len(leaves), cap(leaves), tr.Stats.Leaves)

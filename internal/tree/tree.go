@@ -152,19 +152,14 @@ func (t *Tree) LeavesInto(dst []int32) []int32 {
 	return dst
 }
 
-// Build constructs the cluster tree over src with the given leaf size using
-// all available cores; it is BuildWorkers with the default worker count.
-// The input set is not modified; the tree holds a reordered copy plus the
-// permutation back to input order. Build panics if leafSize < 1 or src is
-// nil and returns an empty tree for an empty input.
-func Build(src *particle.Set, leafSize int) *Tree {
-	return BuildWorkers(src, leafSize, 0)
-}
-
-// BuildWorkers is Build with an explicit worker bound (workers <= 0 selects
-// GOMAXPROCS, 1 is the serial build). The output — Nodes, Perm, the
-// reordered Particles and Stats — is bit-identical for every worker count;
-// workers only bounds the host goroutines used for construction.
+// BuildWorkers constructs the cluster tree over src with the given leaf
+// size using up to `workers` goroutines (<= 0 selects GOMAXPROCS, 1 is the
+// serial build). The input set is not modified; the tree holds a reordered
+// copy plus the permutation back to input order. BuildWorkers panics if
+// leafSize < 1 or src is nil and returns an empty tree for an empty input.
+// The output — Nodes, Perm, the reordered Particles and Stats — is
+// bit-identical for every worker count; workers only bounds the host
+// goroutines used for construction.
 //
 // The argument checks run before any path is chosen, so the parallel path
 // can never be entered with a nil particle set or an invalid leaf size:
@@ -339,8 +334,8 @@ func (b *builder) shrinkBoxPar(lo, hi int) geom.Box {
 }
 
 // combineBox extends dst to cover c with the same first-wins strict
-// comparisons as boundsRange (the difference from geom.Box.Union is only
-// observable for inputs mixing -0 and +0). Both the chunk-parallel shrink
+// comparisons as boundsRange (the difference from math.Min/math.Max is
+// only observable for inputs mixing -0 and +0). Both the chunk-parallel shrink
 // and the bottom-up refit (RefitBoxesWorkers) combine left to right through
 // this helper, which is what keeps their boxes bit-identical to a serial
 // scan of the underlying particles.
@@ -813,17 +808,11 @@ type BatchSet struct {
 	Stats     BuildStats
 }
 
-// BuildBatches partitions the target particles into localized batches of at
-// most batchSize targets using the same recursive partitioning routine as
-// the source tree: the batches are exactly the leaves of a cluster tree with
-// leaf size batchSize. It is BuildBatchesWorkers with the default worker
-// count.
-func BuildBatches(targets *particle.Set, batchSize int) *BatchSet {
-	return BuildBatchesWorkers(targets, batchSize, 0)
-}
-
-// BuildBatchesWorkers is BuildBatches with an explicit worker bound
-// (workers <= 0 selects GOMAXPROCS, 1 is the serial build). Like
+// BuildBatchesWorkers partitions the target particles into localized
+// batches of at most batchSize targets using the same recursive
+// partitioning routine as the source tree: the batches are exactly the
+// leaves of a cluster tree with leaf size batchSize. workers bounds the
+// host goroutines (<= 0 selects GOMAXPROCS, 1 is the serial build); like
 // BuildWorkers, the output is bit-identical for every worker count.
 func BuildBatchesWorkers(targets *particle.Set, batchSize, workers int) *BatchSet {
 	return BatchSetFromTree(BuildWorkers(targets, batchSize, workers))

@@ -17,7 +17,7 @@ func uniform(n int, seed int64) *particle.Set {
 func TestBuildInvariants(t *testing.T) {
 	for _, n := range []int{1, 2, 10, 100, 5000} {
 		for _, leaf := range []int{1, 8, 64, 500} {
-			tr := Build(uniform(n, int64(n)), leaf)
+			tr := BuildWorkers(uniform(n, int64(n)), leaf, 0)
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("n=%d leaf=%d: %v", n, leaf, err)
 			}
@@ -29,7 +29,7 @@ func TestBuildInvariantsProperty(t *testing.T) {
 	f := func(seed int64, nRaw, leafRaw uint8) bool {
 		n := 1 + int(nRaw)%400
 		leaf := 1 + int(leafRaw)%50
-		tr := Build(uniform(n, seed), leaf)
+		tr := BuildWorkers(uniform(n, seed), leaf, 0)
 		return tr.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -38,7 +38,7 @@ func TestBuildInvariantsProperty(t *testing.T) {
 }
 
 func TestLeafSizeRespected(t *testing.T) {
-	tr := Build(uniform(5000, 1), 100)
+	tr := BuildWorkers(uniform(5000, 1), 100, 0)
 	for i := range tr.Nodes {
 		nd := &tr.Nodes[i]
 		if nd.IsLeaf() {
@@ -52,7 +52,7 @@ func TestLeafSizeRespected(t *testing.T) {
 }
 
 func TestEveryParticleInExactlyOneLeaf(t *testing.T) {
-	tr := Build(uniform(3000, 2), 50)
+	tr := BuildWorkers(uniform(3000, 2), 50, 0)
 	covered := make([]int, tr.Particles.Len())
 	for _, li := range tr.Leaves() {
 		nd := &tr.Nodes[li]
@@ -69,7 +69,7 @@ func TestEveryParticleInExactlyOneLeaf(t *testing.T) {
 
 func TestPermutationMapsBack(t *testing.T) {
 	src := uniform(1000, 3)
-	tr := Build(src, 32)
+	tr := BuildWorkers(src, 32, 0)
 	for newIdx, oldIdx := range tr.Perm {
 		if tr.Particles.X[newIdx] != src.X[oldIdx] ||
 			tr.Particles.Y[newIdx] != src.Y[oldIdx] ||
@@ -83,7 +83,7 @@ func TestPermutationMapsBack(t *testing.T) {
 func TestInputNotModified(t *testing.T) {
 	src := uniform(500, 4)
 	orig := src.Clone()
-	Build(src, 16)
+	BuildWorkers(src, 16, 0)
 	for i := 0; i < src.Len(); i++ {
 		if src.X[i] != orig.X[i] || src.Q[i] != orig.Q[i] {
 			t.Fatal("Build modified its input")
@@ -94,7 +94,7 @@ func TestInputNotModified(t *testing.T) {
 func TestShrunkenBoxesTouchParticles(t *testing.T) {
 	// Minimal bounding boxes: some particle coordinate must coincide with
 	// each box face (Section 2.3 relies on this).
-	tr := Build(uniform(2000, 5), 100)
+	tr := BuildWorkers(uniform(2000, 5), 100, 0)
 	for i := range tr.Nodes {
 		nd := &tr.Nodes[i]
 		var loX, hiX, loY, hiY, loZ, hiZ bool
@@ -122,7 +122,7 @@ func TestAspectRatioRule(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		s.Append(4*rng.Float64(), 4*rng.Float64(), 0.1*rng.Float64(), 1)
 	}
-	tr := Build(s, 50)
+	tr := BuildWorkers(s, 50, 0)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCoincidentParticlesTerminate(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Append(0.5, 0.5, 0.5, 1)
 	}
-	tr := Build(s, 10)
+	tr := BuildWorkers(s, 10, 0)
 	if len(tr.Nodes) != 1 || !tr.Nodes[0].IsLeaf() {
 		t.Fatalf("coincident particles produced %d nodes", len(tr.Nodes))
 	}
@@ -180,7 +180,7 @@ func TestCoincidentParticlesTerminate(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	tr := Build(particle.NewSet(0), 10)
+	tr := BuildWorkers(particle.NewSet(0), 10, 0)
 	if len(tr.Nodes) != 0 {
 		t.Fatalf("empty input produced %d nodes", len(tr.Nodes))
 	}
@@ -195,11 +195,11 @@ func TestBuildPanicsOnBadLeafSize(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Build(uniform(10, 7), 0)
+	BuildWorkers(uniform(10, 7), 0, 0)
 }
 
 func TestStatsPopulated(t *testing.T) {
-	tr := Build(uniform(5000, 8), 100)
+	tr := BuildWorkers(uniform(5000, 8), 100, 0)
 	st := tr.Stats
 	if st.Nodes != len(tr.Nodes) {
 		t.Errorf("stats nodes %d != %d", st.Nodes, len(tr.Nodes))
@@ -213,7 +213,7 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestRadiusIsHalfDiagonal(t *testing.T) {
-	tr := Build(uniform(100, 9), 10)
+	tr := BuildWorkers(uniform(100, 9), 10, 0)
 	for i := range tr.Nodes {
 		nd := &tr.Nodes[i]
 		want := nd.Box.Size().Norm() / 2
@@ -230,8 +230,8 @@ func TestBatchesEquivalentToLeavesWhenSameSize(t *testing.T) {
 	// With targets == sources and NB == NL, batches coincide with the
 	// source-tree leaves (as in all the paper's experiments).
 	src := uniform(3000, 10)
-	tr := Build(src, 128)
-	bs := BuildBatches(src, 128)
+	tr := BuildWorkers(src, 128, 0)
+	bs := BuildBatchesWorkers(src, 128, 0)
 	leaves := tr.Leaves()
 	if len(bs.Batches) != len(leaves) {
 		t.Fatalf("%d batches vs %d leaves", len(bs.Batches), len(leaves))
@@ -246,7 +246,7 @@ func TestBatchesEquivalentToLeavesWhenSameSize(t *testing.T) {
 }
 
 func TestBatchSizesRespected(t *testing.T) {
-	bs := BuildBatches(uniform(5000, 11), 200)
+	bs := BuildBatchesWorkers(uniform(5000, 11), 200, 0)
 	total := 0
 	for i := range bs.Batches {
 		c := bs.Batches[i].Count()

@@ -76,12 +76,12 @@ func RunCP(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	tt := tree.Build(targets, p.BatchSize)
-	st := tree.Build(sources, p.LeafSize)
+	tt := tree.BuildWorkers(targets, p.BatchSize, 0)
+	st := tree.BuildWorkers(sources, p.LeafSize, 0)
 	if len(tt.Nodes) == 0 {
 		return &Result{Phi: nil}, nil
 	}
-	tcd := core.NewClusterData(tt, p.Degree)
+	tcd := core.NewClusterDataWorkers(tt, p.Degree, 0)
 	np := tcd.Grids[0].NumPoints()
 	phiHat := newClusterPotentials(tt, np)
 	phi := make([]float64, targets.Len()) // tree order
@@ -199,13 +199,13 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	tt := tree.Build(targets, p.BatchSize)
-	st := tree.Build(sources, p.LeafSize)
+	tt := tree.BuildWorkers(targets, p.BatchSize, 0)
+	st := tree.BuildWorkers(sources, p.LeafSize, 0)
 	if len(tt.Nodes) == 0 || len(st.Nodes) == 0 {
 		return &Result{Phi: make([]float64, targets.Len())}, nil
 	}
-	tcd := core.NewClusterData(tt, p.Degree)
-	scd := core.NewClusterData(st, p.Degree)
+	tcd := core.NewClusterDataWorkers(tt, p.Degree, 0)
+	scd := core.NewClusterDataWorkers(st, p.Degree, 0)
 	// Upward pass: source modified charges, through the same charge state
 	// every driver fills (the pass reads only the source tree and grids).
 	spl := &core.Plan{Params: p, Sources: st, Clusters: scd}
@@ -291,15 +291,19 @@ func RunPC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 	if err != nil {
 		return nil, err
 	}
-	r := core.RunCPU(pl, k, core.CPUOptions{})
+	phi, err := core.Solve(pl, k, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	ls := pl.Lists.Stats
 	return &Result{
-		Phi: r.Phi,
+		Phi: phi,
 		Stats: Stats{
-			PPPairs:        r.Interactions.DirectPairs,
-			PCPairs:        r.Interactions.ApproxPairs,
-			PPInteractions: r.Interactions.DirectInteractions,
-			PCInteractions: r.Interactions.ApproxInteractions,
-			MACTests:       r.Interactions.MACTests,
+			PPPairs:        ls.DirectPairs,
+			PCPairs:        ls.ApproxPairs,
+			PPInteractions: ls.DirectInteractions,
+			PCInteractions: ls.ApproxInteractions,
+			MACTests:       ls.MACTests,
 		},
 	}, nil
 }

@@ -147,7 +147,7 @@ func leapfrogParams() core.Params {
 
 // reportLeapfrogMetrics emits the stepping metrics: real steps/sec of the
 // maintained path, and the modeled hybrid step time with the device compute
-// phase at TitanV rates (the same GradCost accounting as RunCPUFields).
+// phase at TitanV rates (the same GradCost accounting as ModelCPUFieldsRun).
 func reportLeapfrogMetrics(b *testing.B, pl *core.Plan, maintModeled float64) {
 	b.Helper()
 	steps := float64(b.N)

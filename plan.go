@@ -80,18 +80,7 @@ func (pl *Plan) NumSources() int { return pl.core.Sources.Particles.Len() }
 // the same geometry, charges and kernel, the result is byte-identical to
 // the one-shot Solve function.
 func (pl *Plan) Solve(k Kernel, q []float64) ([]float64, error) {
-	st := core.NewChargeState(pl.core)
-	if q != nil {
-		if err := st.SetCharges(pl.core, q); err != nil {
-			return nil, err
-		}
-	}
-	st.Compute(pl.core, pl.params.Workers)
-	phiBatch := make([]float64, pl.core.Batches.Targets.Len())
-	core.RunComputeState(pl.core, k, st, phiBatch, pl.params.Workers)
-	out := make([]float64, len(phiBatch))
-	pl.core.Batches.Perm.ScatterInto(out, phiBatch)
-	return out, nil
+	return core.Solve(pl.core, k, q, pl.params.Workers)
 }
 
 // SolveWithField evaluates potentials *and* their gradients against the
@@ -107,31 +96,11 @@ func (pl *Plan) SolveWithField(k Kernel, q []float64) (*FieldResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("barytree: kernel %q provides no analytic gradient", k.Name())
 	}
-	st := core.NewChargeState(pl.core)
-	if q != nil {
-		if err := st.SetCharges(pl.core, q); err != nil {
-			return nil, err
-		}
+	r, err := core.SolveFields(pl.core, gk, q, pl.params.Workers)
+	if err != nil {
+		return nil, err
 	}
-	st.Compute(pl.core, pl.params.Workers)
-	n := pl.core.Batches.Targets.Len()
-	phi := make([]float64, n)
-	gx := make([]float64, n)
-	gy := make([]float64, n)
-	gz := make([]float64, n)
-	core.RunFieldsState(pl.core, gk, st, phi, gx, gy, gz, pl.params.Workers)
-	res := &FieldResult{
-		Phi: make([]float64, n),
-		GX:  make([]float64, n),
-		GY:  make([]float64, n),
-		GZ:  make([]float64, n),
-	}
-	perm := pl.core.Batches.Perm
-	perm.ScatterInto(res.Phi, phi)
-	perm.ScatterInto(res.GX, gx)
-	perm.ScatterInto(res.GY, gy)
-	perm.ScatterInto(res.GZ, gz)
-	return res, nil
+	return &FieldResult{Phi: r.Phi, GX: r.GX, GY: r.GY, GZ: r.GZ}, nil
 }
 
 // UpdateAction is the structural path a Plan.Update took: refit, repair or

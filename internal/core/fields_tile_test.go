@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
 
 	"barytree/internal/kernel"
+	"barytree/internal/particle"
 )
 
 // referenceListFields evaluates every batch's interaction list one target
@@ -68,17 +70,36 @@ func sameFields(t *testing.T, label string, got, want [4][]float64) {
 // (123 = 15 tiles plus a 3-target padded tail) and workers 1 and 3,
 // SolveFields and RunFieldsState with the assembly kernels installed must
 // equal the same calls with them off, and both must equal the per-target
-// scalar reference (referenceListFields) with ==.
+// scalar reference (referenceListFields) with ==. RegularizedCoulomb also
+// runs at small and zero Eps and on the cube scaled by 2^339, where d2
+// straddles the upper end (2^680) of the ZMM gradient tile's FMA range.
 func TestTiledFieldsBitIdentical(t *testing.T) {
-	targets := testParticles(t, 1003, 41)
-	sources := testParticles(t, 997, 42)
 	kernels := []kernel.GradKernel{
 		kernel.Coulomb{},
 		kernel.Yukawa{Kappa: 0.5},
 		kernel.Gaussian{Sigma: 0.7},
 		kernel.Multiquadric{C: 0.3},
 		kernel.RegularizedCoulomb{Eps: 0.05},
+		kernel.RegularizedCoulomb{Eps: 1e-3},
+		kernel.RegularizedCoulomb{},
 	}
+	for _, scale := range []float64{1, 0x1p339} {
+		targets := testParticles(t, 1003, 41)
+		sources := testParticles(t, 997, 42)
+		ks := kernels
+		if scale != 1 {
+			for _, ps := range []*particle.Set{targets, sources} {
+				for i := range ps.X {
+					ps.X[i], ps.Y[i], ps.Z[i] = ps.X[i]*scale, ps.Y[i]*scale, ps.Z[i]*scale
+				}
+			}
+			ks = []kernel.GradKernel{kernel.RegularizedCoulomb{Eps: 0.05}, kernel.RegularizedCoulomb{}}
+		}
+		testTiledFieldsBitIdentical(t, targets, sources, ks, "scale="+strconv.FormatFloat(scale, 'g', -1, 64)+" ")
+	}
+}
+
+func testTiledFieldsBitIdentical(t *testing.T, targets, sources *particle.Set, kernels []kernel.GradKernel, prefix string) {
 	for _, morton := range []bool{false, true} {
 		p := Params{Theta: 0.7, Degree: 4, LeafSize: 100, BatchSize: 123, Morton: morton}
 		pl, err := NewPlan(targets, sources, p)
@@ -111,7 +132,7 @@ func TestTiledFieldsBitIdentical(t *testing.T) {
 			phi, gx, gy, gz = referenceListFields(pl, k, st.Q, st.Qhat)
 			wantState := [4][]float64{phi, gx, gy, gz}
 			for _, workers := range []int{1, 3} {
-				label := k.Name() + " morton=" + strconv.FormatBool(morton) + " workers=" + strconv.Itoa(workers)
+				label := fmt.Sprintf("%s%s %v morton=%v workers=%d", prefix, k.Name(), k, morton, workers)
 				run := func() (cpu, state [4][]float64) {
 					res := mustSolveFields(t, pl, k, workers)
 					cpu = [4][]float64{res.Phi, res.GX, res.GY, res.GZ}

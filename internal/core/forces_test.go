@@ -58,6 +58,7 @@ func TestFieldPhiMatchesPotentialOnlyPath(t *testing.T) {
 	for _, k := range []kernel.GradKernel{
 		kernel.Coulomb{},
 		kernel.RegularizedCoulomb{Eps: 0.05},
+		kernel.RegularizedCoulomb{Eps: 1e-3},
 		kernel.Gaussian{Sigma: 0.7},
 		kernel.Multiquadric{C: 0.3},
 		kernel.Yukawa{Kappa: 0.5},

@@ -89,8 +89,10 @@ func GradCost(k Kernel, arch Arch) float64 {
 // regularizedCoulombGradLoop, when non-nil, evaluates a whole
 // RegularizedCoulomb gradient tile with the targets packed across SIMD
 // lanes: per-lane IEEE twins of EvalGrad's operations in its expression
-// order (never FMA) and per-lane source-order accumulation, so every
-// output is bit-identical to the reference loop of EvalGradTileAccum (see
+// order, with the square root and the two divisions correctly rounded
+// (on the divider, or by proven FMA sequences that round the same way),
+// and per-lane source-order accumulation, so every output is
+// bit-identical to the reference loop of EvalGradTileAccum (see
 // tile_amd64.s). e2 is Eps*Eps, hoisted. Nil on architectures without an
 // implementation, on x86 CPUs without AVX, and under SetAsmKernels(false).
 var regularizedCoulombGradLoop func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz *[TileWidth]float64)

@@ -110,7 +110,8 @@ func (o *gradTile) eval(k GradKernel, tx, ty, tz *[TileWidth]float64, sx, sy, sz
 // RegularizedCoulomb gradient tile against EvalGradTileAccum's reference
 // loop (assembly off) with Float64bits equality on all four outputs.
 // Targets and sources sweep the exponent range (so d2 underflows,
-// overflows to +Inf, or is dominated by Eps*Eps), blocks hold 1-17
+// overflows to +Inf, crosses either end of the ZMM tile's FMA range
+// [2^-512, 2^680), or is dominated by Eps*Eps), blocks hold 1-17
 // sources with coincident points in both half tiles, and the outputs start
 // nonzero so the single add of each block total is checked. At Eps = 0 a
 // coincident pair makes the scalar result NaN, whose sign and payload are
@@ -122,7 +123,7 @@ func TestRegularizedCoulombGradTileBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, eps := range []float64{0.05, 1e-3, 0} {
 		k := RegularizedCoulomb{Eps: eps}
-		for _, scale := range []int{0, -300, -500, -510, -520, -538, 300, 500, 511} {
+		for _, scale := range []int{0, -256, -257, -300, -500, -510, -520, -538, 300, 339, 340, 341, 500, 511} {
 			mag := math.Ldexp(1, scale)
 			for n := 1; n <= 17; n++ {
 				var tx, ty, tz [TileWidth]float64

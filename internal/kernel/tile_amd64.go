@@ -48,11 +48,24 @@ func yukawaTileF32FMA(tx, ty, tz *[TileWidth]float32, sx, sy, sz, q *float64, n 
 
 // regularizedCoulombGradAVX evaluates a RegularizedCoulomb gradient block
 // against four targets, bit-identical to the reference loop of
-// EvalGradTileAccum; the installed gradient tile calls it on each half.
-// Requires AVX. e2 is Eps*Eps. See tile_amd64.s.
+// EvalGradTileAccum, with every square root and division on the divider;
+// on hosts without AVX-512 the installed gradient tile calls it on each
+// half. Requires AVX. e2 is Eps*Eps. See tile_amd64.s.
 //
 //go:noescape
 func regularizedCoulombGradAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[4]float64)
+
+// regularizedCoulombGradZMM evaluates a RegularizedCoulomb gradient
+// block against an 8-target tile in one ZMM lane group, bit-identical to
+// the reference loop of EvalGradTileAccum. Sources run in pairs: the even
+// source's square root and both divisions go to the divider, the odd
+// source's to correctly rounded Goldschmidt/Newton-Raphson/Markstein
+// sequences on the FMA ports, so the two units work at once; it is the
+// installed gradient tile on AVX-512 hosts. Requires AVX-512 F+VL. e2 is
+// Eps*Eps. See tile_amd64.s.
+//
+//go:noescape
+func regularizedCoulombGradZMM(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[TileWidth]float64)
 
 // cpuHasAVX512VL reports AVX512F+VL support with full OS state saving.
 // Implemented in tile_amd64.s.
@@ -99,6 +112,11 @@ func init() {
 			tile(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), phi)
 		}
 		regularizedCoulombGradLoop = func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz *[TileWidth]float64) {
+			if avx512 {
+				// The divider/FMA-port pair hybrid (see tile_amd64.s).
+				regularizedCoulombGradZMM(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), e2, phi, gx, gy, gz)
+				return
+			}
 			for h := 0; h < TileWidth; h += 4 {
 				regularizedCoulombGradAVX(half(tx, h), half(ty, h), half(tz, h), &sx[0], &sy[0], &sz[0], &q[0], len(q), e2,
 					half(phi, h), half(gx, h), half(gy, h), half(gz, h))

@@ -19,6 +19,20 @@ GLOBL ·avxHalf(SB), RODATA|NOPTR, $8
 DATA ·avxTiny+0(SB)/8, $0x1ff0000000000000
 GLOBL ·avxTiny(SB), RODATA|NOPTR, $8
 
+// 2^680, the gradient ZMM tile's upper fast-path cutoff: below it
+// d2^(-3/2) > 2^-1020 and 1/d2 > 2^-680 stay normal, as the Markstein
+// quotient proof requires (see regularizedCoulombGradZMM).
+DATA ·gradHuge+0(SB)/8, $0x6a70000000000000
+GLOBL ·gradHuge(SB), RODATA|NOPTR, $8
+
+// The integer 2 and the fraction mask without its last bit: a double x
+// has significand 1.11...10 or 1.11...11 exactly when the fraction bits
+// 1..51 of bits(x)+2 are all zero (the add carried into the exponent).
+DATA ·gradTwo+0(SB)/8, $2
+GLOBL ·gradTwo(SB), RODATA|NOPTR, $8
+DATA ·gradFrac+0(SB)/8, $0x000ffffffffffffe
+GLOBL ·gradFrac(SB), RODATA|NOPTR, $8
+
 // --- Constants for the vectorized fp64 exp (EXPPD below). All are full
 // 256-bit lanes of the same value because VEX instructions cannot
 // broadcast a memory operand (that is EVEX-only) and the polynomial wants
@@ -631,8 +645,9 @@ tileavxloop:
 
 // func regularizedCoulombGradAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[4]float64)
 //
-// RegularizedCoulomb gradient block against a 4-target tile (the
-// installed gradient tile runs it on each half): per lane, with
+// RegularizedCoulomb gradient block against a 4-target tile (on hosts
+// without AVX-512 the installed gradient tile runs it on each half): per
+// lane, with
 // d = t - s[j], the scalar EvalGrad sequence
 //
 //	d2 = ((dx*dx + dy*dy) + dz*dz) + e2
@@ -985,3 +1000,319 @@ tilezpatch:
 	VFNMADD231PD Z10, Z9, Z13
 	VFMADD213PD  Z10, Z10, Z13     // gB = RN(1/sB), in Z13
 	JMP          tilezjoin
+
+// func regularizedCoulombGradZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[8]float64)
+//
+// RegularizedCoulomb gradient block against an 8-target tile in one ZMM
+// lane group, bit-identical to the reference loop of EvalGradTileAccum
+// (the same per-lane contract as regularizedCoulombGradAVX above, whose
+// comment gives the scalar sequence and the sign rewrite). Per lane and
+// source it needs g = RN(1/RN(sqrt(d2))) and RN(g/d2): one square root and
+// two divisions, which the YMM body sends to the single divide unit. Here
+// sources run in PAIRS on different resources:
+//
+//   - Source j (stream A) stays on the divider: VSQRTPD, then VDIVPD for
+//     1/s and for g/d2, exactly the YMM body's operations.
+//   - Source j+1 (stream B) runs on the FMA ports: RN(sqrt(d2)) by the
+//     Goldschmidt/Markstein sequence of coulombTileZMM, RN(1/s) by two
+//     Newton-Raphson steps from y = 2h, and RN(g/d2) by Markstein division.
+//
+// Moving either of A's divisions onto the FMA ports as well
+// (Newton-Raphson from VRCP14PD, or a Markstein quotient) measured no
+// faster, so A keeps the divider's exact operations and needs no guard.
+//
+// The quotient is correctly rounded by this sequence (b = d2, a = g):
+//
+//	y = RN(a*a)                   ~ 1/b, |rel err| <= 5*2^-53
+//	e = 1 - b*y; y += y*e         |rel err| <= 2^-53 + 2^-101
+//	e = 1 - b*y; y += y*e         == RN(1/b), e exact
+//	q = RN(a*y)                   within 1.5 ulp of a/b
+//	r = a - b*q; q += r*y         faithful: rel err <= 3*2^-104 + RN
+//	r = a - b*q; q += r*y         == RN(a/b), r exact
+//
+// Each residual is one VFNMADD and each update one VFMADD. The last
+// reciprocal step computes y*(2 - b*y) = (1/b)*(1 - e*e) exactly and rounds
+// once; e*e < 2^-106 (1 + 2^-47), while 1/b lies at least 2^-106 (relative)
+// from a rounding midpoint, and exactly 2^-106 above one only when b's
+// significand is all ones (2^106 - 1 has no other divisor in
+// [2^52, 2^53)). There the step ties and rounds the wrong way (the
+// exception in Markstein's reciprocal theorem), so such lanes take the
+// divider. Given y = RN(1/b) and a faithful q, Markstein's division
+// theorem makes the final q correctly rounded provided nothing leaves the
+// normal range. The Newton-Raphson reciprocal of s from 2h has the same
+// exception for an all-ones s, which happens only when d2's significand
+// is 1.1...10 or 1.1...11.
+//
+// Fast range. Stream B takes the FMA path only when
+//
+//	2^-512 <= d2 < 2^680  and  d2's significand is not 1.1...1x.
+//
+// The lower bound is the Goldschmidt square root's (see coulombTileZMM);
+// it also keeps d2^(-3/2) <= 2^768 finite and routes d2 == 0 (Eps = 0 with
+// coincident points), where phi must get the reference's +Inf*q and the
+// FMA sequences would give NaN. The upper bound is the quotient's: below
+// it 1/d2 > 2^-680 and g/d2 = d2^(-3/2) > 2^-1020 are normal, and every
+// residual above is a multiple of at least 2^-446, so it is exact where
+// the proof needs it. The significand test reads bits(d2) + 2: fraction
+// bits 1..51 of the sum are all zero exactly when the add carried out of
+// them. NaN lanes fail the ordered compares. The guard is one compare
+// chain per pair; if any lane of B fails it, the pair's B source is redone
+// on the divider (gradzpatch). Correctly rounded values are
+// path-independent, so the patch changes no bits. In treecode workloads
+// it is cold: with Eps > 0 and unit-scale coordinates, d2 stays far inside
+// the range.
+//
+// Software pipelining. Each pair runs in two stages one pair apart, so
+// their dependency chains (each ~100 cycles of FMA latency) overlap
+// instead of stalling the scheduler. Stage 1 of pair k computes the
+// distances, d2A and VSQRTPD, d2B, the guard, and sB and h; stage 2 of
+// pair k-1 (GRADSTAGE2) then derives g and g/d2 for both sources and
+// accumulates. Stage 1 stores what stage 2 needs in one of two 64-byte
+// aligned slot sets on the stack, alternating by pair (R10 is written,
+// R12 read, swapped each pair); the distance vectors ride along there too,
+// so the accumulate reads them back instead of recomputing them. R11 is 1
+// while a pair waits for its stage 2. A pair whose guard fails first runs
+// the pending stage 2, then finishes on the divider and accumulates at
+// once, so every output still adds source j's term before j+1's. The
+// odd trailing source runs the A stream alone.
+//
+// Registers: ZMM0-2 targets, ZMM3-6 the four chains, ZMM7 e2, ZMM8-15
+// scratch; the constants are EVEX embedded-broadcast memory operands.
+// Nothing touches ZMM16-31, and VZEROUPPER returns the upper state to
+// clean (see coulombTileZMM). Requires AVX-512 F+VL. n must be positive.
+
+// Slot set layout (704 bytes): dxA dyA dzA dxB dyB dzB at 0..320, then
+// d2A 384, sA 448, d2B 512, sB 576, h 640.
+
+// GRADACCUM adds a pair's terms in source order: gA in Z12, gA/d2A in Z10,
+// gB in Z11, gB/d2B in Z13, the distance vectors from slot set b, q[j] and
+// q[j+1] at byte offsets q0 and q1 from q+8*DX. Each gradient term is
+// subtracted as ((g/d2)*d)*q, the YMM body's sign rewrite.
+#define GRADACCUM(b, q0, q1) \
+	VMULPD.BCST  q0(R9)(DX*8), Z12, Z14; \
+	VADDPD       Z14, Z3, Z3;            \
+	VMULPD.BCST  q1(R9)(DX*8), Z11, Z15; \
+	VADDPD       Z15, Z3, Z3;            \
+	VMULPD       0(b), Z10, Z14;         \
+	VMULPD.BCST  q0(R9)(DX*8), Z14, Z14; \
+	VSUBPD       Z14, Z4, Z4;            \
+	VMULPD       192(b), Z13, Z15;       \
+	VMULPD.BCST  q1(R9)(DX*8), Z15, Z15; \
+	VSUBPD       Z15, Z4, Z4;            \
+	VMULPD       64(b), Z10, Z8;         \
+	VMULPD.BCST  q0(R9)(DX*8), Z8, Z8;   \
+	VSUBPD       Z8, Z5, Z5;             \
+	VMULPD       256(b), Z13, Z9;        \
+	VMULPD.BCST  q1(R9)(DX*8), Z9, Z9;   \
+	VSUBPD       Z9, Z5, Z5;             \
+	VMULPD       128(b), Z10, Z14;       \
+	VMULPD.BCST  q0(R9)(DX*8), Z14, Z14; \
+	VSUBPD       Z14, Z6, Z6;            \
+	VMULPD       320(b), Z13, Z15;       \
+	VMULPD.BCST  q1(R9)(DX*8), Z15, Z15; \
+	VSUBPD       Z15, Z6, Z6
+
+// GRADSTAGE2 finishes the pair at DX-2 from slot set R12: gB = RN(1/sB)
+// from 2h, y = RN(1/d2B) from gB*gB, gB/d2B by Markstein division (the
+// prologue's sequence), gA and gA/d2A on the divider, then GRADACCUM.
+#define GRADSTAGE2 \
+	VMOVAPD      640(R12), Z13;          \
+	VADDPD       Z13, Z13, Z11;          \
+	VBROADCASTSD ·avxOne(SB), Z14;       \
+	VFNMADD231PD 576(R12), Z11, Z14;     \
+	VFMADD231PD  Z14, Z11, Z11;          \
+	VBROADCASTSD ·avxOne(SB), Z14;       \
+	VFNMADD231PD 576(R12), Z11, Z14;     \
+	VFMADD231PD  Z14, Z11, Z11;          \
+	VMULPD       Z11, Z11, Z15;          \
+	VBROADCASTSD ·avxOne(SB), Z14;       \
+	VFNMADD231PD 512(R12), Z15, Z14;     \
+	VFMADD231PD  Z14, Z15, Z15;          \
+	VBROADCASTSD ·avxOne(SB), Z14;       \
+	VFNMADD231PD 512(R12), Z15, Z14;     \
+	VFMADD231PD  Z14, Z15, Z15;          \
+	VMULPD       Z15, Z11, Z13;          \
+	VMOVAPD      Z11, Z14;               \
+	VFNMADD231PD 512(R12), Z13, Z14;     \
+	VFMADD231PD  Z15, Z14, Z13;          \
+	VMOVAPD      Z11, Z14;               \
+	VFNMADD231PD 512(R12), Z13, Z14;     \
+	VFMADD231PD  Z15, Z14, Z13;          \
+	VBROADCASTSD ·avxOne(SB), Z12;       \
+	VDIVPD       448(R12), Z12, Z12;     \
+	VDIVPD       384(R12), Z12, Z10;     \
+	GRADACCUM(R12, -16, -8)
+
+TEXT ·regularizedCoulombGradZMM(SB), $1472-104
+	LEAQ         63(SP), R10
+	ANDQ         $~63, R10         // slot set for pair k
+	LEAQ         704(R10), R12     // slot set for pair k-1
+	MOVQ         tx+0(FP), AX
+	VMOVUPD      (AX), Z0          // tx[0:8]
+	MOVQ         ty+8(FP), AX
+	VMOVUPD      (AX), Z1          // ty[0:8]
+	MOVQ         tz+16(FP), AX
+	VMOVUPD      (AX), Z2          // tz[0:8]
+	MOVQ         sx+24(FP), SI
+	MOVQ         sy+32(FP), DI
+	MOVQ         sz+40(FP), R8
+	MOVQ         q+48(FP), R9
+	MOVQ         n+56(FP), CX
+	VBROADCASTSD e2+64(FP), Z7     // eps*eps
+	MOVQ         CX, BX
+	DECQ         BX                // BX = n-1: pair loop runs while j < n-1
+	XORQ         DX, DX            // j
+	XORQ         R11, R11          // no pair waiting for its stage 2
+	VPXORQ       Z3, Z3, Z3        // phi chains
+	VPXORQ       Z4, Z4, Z4        // gx chains
+	VPXORQ       Z5, Z5, Z5        // gy chains
+	VPXORQ       Z6, Z6, Z6        // gz chains
+	CMPQ         DX, BX
+	JGE          gradztail         // n == 1
+
+gradzpair:
+	// Stage 1, stream A (source j): d2A, then VSQRTPD.
+	VSUBPD.BCST  (SI)(DX*8), Z0, Z8   // dx = tx - sx[j]
+	VMOVAPD      Z8, (R10)
+	VMULPD       Z8, Z8, Z8
+	VSUBPD.BCST  (DI)(DX*8), Z1, Z9   // dy
+	VMOVAPD      Z9, 64(R10)
+	VMULPD       Z9, Z9, Z9
+	VADDPD       Z9, Z8, Z8
+	VSUBPD.BCST  (R8)(DX*8), Z2, Z9   // dz
+	VMOVAPD      Z9, 128(R10)
+	VMULPD       Z9, Z9, Z9
+	VADDPD       Z9, Z8, Z8
+	VADDPD       Z7, Z8, Z8        // d2A = ((dx*dx + dy*dy) + dz*dz) + e2
+	VMOVAPD      Z8, 384(R10)
+	VSQRTPD      Z8, Z9            // sA, on the divider
+	VMOVAPD      Z9, 448(R10)
+
+	// Stage 1, stream B (source j+1): d2B and the fast-range guard.
+	VSUBPD.BCST  8(SI)(DX*8), Z0, Z10
+	VMOVAPD      Z10, 192(R10)
+	VMULPD       Z10, Z10, Z10
+	VSUBPD.BCST  8(DI)(DX*8), Z1, Z11
+	VMOVAPD      Z11, 256(R10)
+	VMULPD       Z11, Z11, Z11
+	VADDPD       Z11, Z10, Z10
+	VSUBPD.BCST  8(R8)(DX*8), Z2, Z11
+	VMOVAPD      Z11, 320(R10)
+	VMULPD       Z11, Z11, Z11
+	VADDPD       Z11, Z10, Z10
+	VADDPD       Z7, Z10, Z10      // d2B
+	VMOVAPD      Z10, 512(R10)
+	VCMPPD.BCST  $29, ·avxTiny(SB), Z10, K1         // d2B >= 2^-512, GE_OQ
+	VCMPPD.BCST  $17, ·gradHuge(SB), Z10, K1, K1    // and d2B < 2^680, LT_OQ
+	VPADDQ.BCST  ·gradTwo(SB), Z10, Z11
+	VPTESTMQ.BCST ·gradFrac(SB), Z11, K1, K1        // and not 1.1...1x
+	KMOVW        K1, AX
+	CMPL         AX, $0xff
+	JNE          gradzpatch
+
+	// Stage 1, stream B: sB = RN(sqrt(d2B)) by Goldschmidt/Markstein.
+	VRSQRT14PD   Z10, Z11          // y0
+	VMULPD       Z11, Z10, Z12     // g = x*y0
+	VMULPD.BCST  ·avxHalf(SB), Z11, Z13 // h = 0.5*y0
+	VBROADCASTSD ·avxHalf(SB), Z14
+	VFNMADD231PD Z13, Z12, Z14     // r = 0.5 - g*h
+	VFMADD231PD  Z14, Z12, Z12     // g += g*r
+	VFMADD231PD  Z14, Z13, Z13     // h += h*r
+	VBROADCASTSD ·avxHalf(SB), Z14
+	VFNMADD231PD Z13, Z12, Z14
+	VFMADD231PD  Z14, Z12, Z12
+	VFMADD231PD  Z14, Z13, Z13
+	VMOVAPD      Z10, Z14
+	VFNMADD231PD Z12, Z12, Z14     // d = x - g*g
+	VFMADD231PD  Z13, Z14, Z12     // g += d*h, faithful
+	VMOVAPD      Z10, Z14
+	VFNMADD231PD Z12, Z12, Z14
+	VFMADD231PD  Z13, Z14, Z12     // sB = RN(sqrt(d2B))
+	VMOVAPD      Z12, 576(R10)
+	VMOVAPD      Z13, 640(R10)     // h
+
+	TESTQ        R11, R11
+	JZ           gradznoprev
+	GRADSTAGE2                     // pair k-1
+
+gradznoprev:
+	MOVQ         $1, R11           // pair k waits for its stage 2
+
+gradznext:
+	XCHGQ        R10, R12
+	ADDQ         $2, DX
+	CMPQ         DX, BX
+	JLT          gradzpair
+
+	TESTQ        R11, R11
+	JZ           gradztail
+	GRADSTAGE2                     // the last pair
+
+gradztail:
+	CMPQ DX, CX
+	JGE  gradzdone
+
+	// Odd trailing source: the A stream alone.
+	VSUBPD.BCST  (SI)(DX*8), Z0, Z8
+	VMULPD       Z8, Z8, Z8
+	VSUBPD.BCST  (DI)(DX*8), Z1, Z9
+	VMULPD       Z9, Z9, Z9
+	VADDPD       Z9, Z8, Z8
+	VSUBPD.BCST  (R8)(DX*8), Z2, Z9
+	VMULPD       Z9, Z9, Z9
+	VADDPD       Z9, Z8, Z8
+	VADDPD       Z7, Z8, Z8        // d2
+	VSQRTPD      Z8, Z9
+	VBROADCASTSD ·avxOne(SB), Z12
+	VDIVPD       Z9, Z12, Z12      // g = 1 / sqrt(d2)
+	VDIVPD       Z8, Z12, Z10      // g / d2 = -c
+	VMULPD.BCST  (R9)(DX*8), Z12, Z14
+	VADDPD       Z14, Z3, Z3
+	VSUBPD.BCST  (SI)(DX*8), Z0, Z14
+	VMULPD       Z14, Z10, Z14
+	VMULPD.BCST  (R9)(DX*8), Z14, Z14
+	VSUBPD       Z14, Z4, Z4
+	VSUBPD.BCST  (DI)(DX*8), Z1, Z14
+	VMULPD       Z14, Z10, Z14
+	VMULPD.BCST  (R9)(DX*8), Z14, Z14
+	VSUBPD       Z14, Z5, Z5
+	VSUBPD.BCST  (R8)(DX*8), Z2, Z14
+	VMULPD       Z14, Z10, Z14
+	VMULPD.BCST  (R9)(DX*8), Z14, Z14
+	VSUBPD       Z14, Z6, Z6
+
+gradzdone:
+	// One per-lane add of each block total into its output.
+	MOVQ    phi+72(FP), AX
+	VADDPD  (AX), Z3, Z3
+	VMOVUPD Z3, (AX)
+	MOVQ    gx+80(FP), AX
+	VADDPD  (AX), Z4, Z4
+	VMOVUPD Z4, (AX)
+	MOVQ    gy+88(FP), AX
+	VADDPD  (AX), Z5, Z5
+	VMOVUPD Z5, (AX)
+	MOVQ    gz+96(FP), AX
+	VADDPD  (AX), Z6, Z6
+	VMOVUPD Z6, (AX)
+	VZEROUPPER
+	RET
+
+gradzpatch:
+	// A lane of stream B is outside the fast range. Finish pair k-1
+	// first, then pair k on the divider, and accumulate pair k now.
+	TESTQ        R11, R11
+	JZ           gradzpatchpair
+	GRADSTAGE2
+
+gradzpatchpair:
+	VMOVAPD      512(R10), Z10     // d2B
+	VSQRTPD      Z10, Z14          // sB
+	VBROADCASTSD ·avxOne(SB), Z15
+	VDIVPD       Z14, Z15, Z11     // gB = 1/sB
+	VDIVPD       Z10, Z11, Z13     // gB/d2B
+	VDIVPD       448(R10), Z15, Z12 // gA = 1/sA
+	VDIVPD       384(R10), Z12, Z10 // gA/d2A
+	GRADACCUM(R10, 0, 8)
+	XORQ         R11, R11          // nothing waits for stage 2
+	JMP          gradznext

@@ -697,8 +697,18 @@ func FuzzTileAccum(f *testing.F) {
 	})
 }
 
+// gradVariant is one RegularizedCoulomb gradient body with the signature
+// of regularizedCoulombGradLoop; ok reports whether this machine runs it.
+type gradVariant struct {
+	name string
+	ok   bool
+	f    func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz *[TileWidth]float64)
+}
+
 // BenchmarkEvalTile times one tile call over a 2000-source block for the
-// Coulomb and Yukawa fp64 and fp32 paths.
+// Coulomb and Yukawa fp64 and fp32 paths, and for the RegularizedCoulomb
+// gradient: installed (asm-on), through the reference loop (asm-off), and
+// each assembly body by name, whatever dispatch installed.
 func BenchmarkEvalTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 2000
@@ -745,6 +755,20 @@ func BenchmarkEvalTile(b *testing.B) {
 			b.SetBytes(TileWidth * n * 8)
 			for i := 0; i < b.N; i++ {
 				out.eval(rk, &tx, &ty, &tz, sx, sy, sz, q)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(TileWidth*n*b.N), "ns/interaction")
+		})
+	}
+	for _, v := range regularizedCoulombGradVariants() {
+		v := v
+		b.Run(rk.Name()+"/grad/"+v.name, func(b *testing.B) {
+			if !v.ok {
+				b.Skip("variant not supported on this machine")
+			}
+			var out gradTile
+			b.SetBytes(TileWidth * n * 8)
+			for i := 0; i < b.N; i++ {
+				v.f(&tx, &ty, &tz, sx, sy, sz, q, rk.Eps*rk.Eps, &out[0], &out[1], &out[2], &out[3])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(TileWidth*n*b.N), "ns/interaction")
 		})

@@ -14,7 +14,9 @@
 package pool
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -36,6 +38,11 @@ func Workers(n, workers int) int {
 // calling goroutine; otherwise each range runs on its own goroutine and
 // Blocks returns after all complete. fn must be safe for concurrent calls
 // with distinct w.
+//
+// A panic in fn reaches the caller either way, so a caller can recover
+// it: a worker goroutine recovers its own panic, and once every worker
+// has finished, Blocks panics on the calling goroutine with an error that
+// carries the first recovered value and that worker's stack.
 func Blocks(n, workers int, fn func(w, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -45,17 +52,40 @@ func Blocks(n, workers int, fn func(w, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first *workerPanic
+	)
 	for i := 0; i < w; i++ {
 		lo := i * n / w
 		hi := (i + 1) * n / w
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					p := &workerPanic{value: v, stack: debug.Stack()}
+					once.Do(func() { first = p })
+				}
+			}()
 			fn(i, lo, hi)
 		}(i, lo, hi)
 	}
 	wg.Wait()
+	if first != nil {
+		panic(first)
+	}
+}
+
+// workerPanic is what Blocks re-panics with on the calling goroutine.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.value, p.stack)
 }
 
 // For runs fn(i) for every i in [0, n) using Blocks' range partitioning:

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -82,5 +83,33 @@ func TestForCoversAll(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)
 		}
+	}
+}
+
+// TestBlocksWorkerPanicReachesCaller pins that a panic on a worker
+// goroutine does not crash the process: Blocks waits for every worker,
+// then panics on the caller with the worker's value and stack, which the
+// caller can recover.
+func TestBlocksWorkerPanicReachesCaller(t *testing.T) {
+	var done atomic.Int32
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		Blocks(8, 4, func(w, lo, hi int) {
+			if w == 2 {
+				panic("boom")
+			}
+			done.Add(1)
+		})
+	}()
+	err, ok := got.(error)
+	if !ok {
+		t.Fatalf("recovered %T %v, want an error", got, got)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "boom") || !strings.Contains(msg, "worker goroutine stack") {
+		t.Fatalf("recovered error lacks the value or the stack: %q", msg)
+	}
+	if done.Load() != 3 {
+		t.Fatalf("%d other workers finished, want 3", done.Load())
 	}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"barytree/internal/core"
@@ -91,12 +93,33 @@ func (q *planQueue) drain(pl *core.Plan, workers int, onGroup func(groupReport))
 	}
 }
 
+// errGroupPanic marks a job failed because its group pass panicked: a
+// server fault, not a bad request.
+var errGroupPanic = errors.New("solve pass failed")
+
 // runGroup executes one coalesced pass: per-request modified charges
 // (each internally parallel), then a single tiled compute pass spanning
 // every (request, batch) pair, then per-request scatter back to original
 // target order. Requests with invalid charges fail fast and drop out of
-// the group before any compute.
+// the group before any compute. A panic in the pass fails every job it
+// has not answered yet with errGroupPanic and returns, so the drainer
+// keeps serving; the pass's charge states are dropped, not recycled.
 func (q *planQueue) runGroup(pl *core.Plan, jobs []*solveJob, workers int, onGroup func(groupReport)) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		err := fmt.Errorf("%w: %v", errGroupPanic, v)
+		for _, j := range jobs {
+			select {
+			case <-j.done:
+			default:
+				j.phi, j.err = nil, err
+				close(j.done)
+			}
+		}
+	}()
 	var rep groupReport
 	live := make([]*solveJob, 0, len(jobs))
 	members := make([]core.GroupMember, 0, len(jobs))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -171,5 +172,52 @@ func TestQueueConcurrentSubmit(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestQueueSurvivesPanickingPass pins that a group pass whose kernel
+// panics, on a pool worker goroutine or inline, fails every waiter of
+// that pass with errGroupPanic instead of killing the process, and that
+// the queue keeps serving: the next solve on the same plan still matches
+// the library path byte for byte.
+func TestQueueSurvivesPanickingPass(t *testing.T) {
+	s, q0 := testSet(200, 31)
+	p := testParams()
+	pl, err := core.NewPlan(s, s, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := kernel.Func{KernelName: "boom", F: func(tx, ty, tz, sx, sy, sz float64) float64 { panic("boom") }}
+	want := refSolve(t, kernel.Coulomb{}, s, q0, p)
+	for _, workers := range []int{1, 3} {
+		var q planQueue
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(workers int) {
+				defer wg.Done()
+				job := &solveJob{kernel: boom, charges: q0}
+				q.submit(pl, workers, job, nil)
+				if !errors.Is(job.err, errGroupPanic) {
+					errs <- fmt.Errorf("workers=%d: waiter got err %v, want errGroupPanic", workers, job.err)
+				}
+			}(workers)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		job := &solveJob{kernel: kernel.Coulomb{}, charges: q0}
+		q.submit(pl, workers, job, nil)
+		if job.err != nil {
+			t.Fatalf("workers=%d: solve after the panicking pass: %v", workers, job.err)
+		}
+		for n := range want {
+			if job.phi[n] != want[n] {
+				t.Fatalf("workers=%d phi[%d]: %v != library %v", workers, n, job.phi[n], want[n])
+			}
+		}
 	}
 }

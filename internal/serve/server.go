@@ -371,8 +371,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	job := &solveJob{kernel: k, charges: req.Charges}
 	e.queue.submit(e.Plan(), s.cfg.Workers, job, s.onGroup(e.Key))
 	if job.err != nil {
-		s.metrics.ObserveError(true)
-		writeError(w, http.StatusBadRequest, "%v", job.err)
+		status := http.StatusBadRequest
+		if errors.Is(job.err, errGroupPanic) {
+			status = http.StatusInternalServerError
+		}
+		s.metrics.ObserveError(status < 500)
+		writeError(w, status, "%v", job.err)
 		return
 	}
 	s.tracer.Add("serve.solves", 1)

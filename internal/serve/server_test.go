@@ -376,3 +376,49 @@ func TestServerConcurrentSolves(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestServerSurvivesPanickingPass drives a panicking compute pass through
+// the HTTP path: a plan whose interaction list names a cluster that does
+// not exist panics inside the group pass. The solve must answer 500 and
+// count as a server error, and the daemon must keep serving other plans
+// with library-identical potentials.
+func TestServerSurvivesPanickingPass(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	p := testParams()
+	create := func(seed int64) (string, []float64, []float64) {
+		s, q := testSet(200, seed)
+		var plan PlanResponse
+		if code, raw := doJSON(t, "POST", ts.URL+"/v1/plans", PlanRequest{
+			GeometrySpec: GeometrySpec{Targets: pointsSpec(s), Params: paramsSpec(p)},
+		}, &plan); code != http.StatusOK {
+			t.Fatalf("create: %d %s", code, raw)
+		}
+		return plan.Plan, q, refSolve(t, kernel.Coulomb{}, s, q, p)
+	}
+	broken, qBroken, _ := create(41)
+	good, qGood, want := create(43)
+
+	pl := srv.cache.Get(broken).Plan()
+	pl.Lists.Direct[0] = append(pl.Lists.Direct[0], int32(len(pl.Sources.Nodes)))
+	code, raw := doJSON(t, "POST", ts.URL+"/v1/solve", SolveRequest{Plan: broken, Charges: qBroken}, nil)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("solve on the broken plan: %d %s, want 500", code, raw)
+	}
+	if !strings.Contains(string(raw), errGroupPanic.Error()) {
+		t.Fatalf("500 body %s does not name the failed pass", raw)
+	}
+
+	var sol SolveResponse
+	if code, raw := doJSON(t, "POST", ts.URL+"/v1/solve", SolveRequest{Plan: good, Charges: qGood}, &sol); code != http.StatusOK {
+		t.Fatalf("solve after the panicking pass: %d %s", code, raw)
+	}
+	for i := range want {
+		if sol.Phi[i] != want[i] {
+			t.Fatalf("phi[%d]: served %v != library %v", i, sol.Phi[i], want[i])
+		}
+	}
+	_, metrics := doJSON(t, "GET", ts.URL+"/metrics", nil, nil)
+	if !strings.Contains(string(metrics), "bltcd_solve_server_errors_total 1") {
+		t.Fatalf("metrics do not count one server error:\n%s", metrics)
+	}
+}
